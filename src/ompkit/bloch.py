@@ -94,12 +94,15 @@ def eigen2(a: Herm2) -> tuple[float, float, np.ndarray]:
     ``hi`` has Bloch vector ``+axis``, the one for ``lo`` has ``-axis``.  For
     ``beta = 0`` the axis defaults to ``(0, 0, 1)`` so output is deterministic.
     """
-    r = float(np.linalg.norm(a.beta))
-    if r == 0.0:
-        axis = np.array([0.0, 0.0, 1.0])
-    else:
-        axis = a.beta / r
-    return a.alpha - r, a.alpha + r, axis
+    # scaled by the largest component, so that squaring cannot underflow
+    # and a subnormal beta still has a unit axis
+    m = float(np.max(np.abs(a.beta)))
+    if m == 0.0:
+        return a.alpha, a.alpha, np.array([0.0, 0.0, 1.0])
+    unit = a.beta / m
+    n = float(np.linalg.norm(unit))
+    r = m * n
+    return a.alpha - r, a.alpha + r, unit / n
 
 
 def trace_norm(a: Herm2) -> float:

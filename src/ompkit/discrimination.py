@@ -29,6 +29,11 @@ _EQ_RES = 1e-9
 _MU_TOL = 1e-9
 _FEAS_SLACK = 1e-10
 
+# Roundoff floor of the completeness-weight pivots: a weight at or below it
+# counts as zero, a residual below it as exact, and a multiplier rate or
+# null-space component below it as absent.
+_KKT_TOL = 1e-12
+
 # Subgradient pruning keeps every state whose dual constraint comes within
 # this margin of binding at the approximate center.
 _PRUNE_MARGIN = 1e-3
@@ -183,37 +188,174 @@ def _enclosing_ball(cen, off, candidates, f_cap):
     return min(found, key=lambda t: t[0])
 
 
+def _walk(a: np.ndarray, rhs: np.ndarray, w: np.ndarray, free: np.ndarray):
+    """Step from ``w`` toward the free columns' row-space solution.
+
+    The solve ``pinv(a_F) rhs`` is at once the least-squares and the
+    least-norm point of the free columns.  A weight that would turn negative
+    stops the step where it reaches zero and leaves the free set; the walk
+    repeats until the solve is positive (the inner loop of Lawson & Hanson
+    1974, ch. 23).  Returns the new weights and free set.
+    """
+    w, free = w.copy(), free.copy()
+    while free.any():
+        idx = np.flatnonzero(free)
+        s = np.linalg.pinv(a[:, idx], rcond=1e-12) @ rhs
+        if np.min(s) > 0.0:
+            w[idx] = s
+            break
+        neg = s <= 0.0
+        alpha = np.min(w[idx][neg] / np.maximum(w[idx][neg] - s[neg], 1e-300))
+        w[idx] += alpha * (s - w[idx])
+        out = idx[w[idx] <= _KKT_TOL]
+        w[out] = 0.0
+        free[out] = False
+    return w, free
+
+
+def _nnls(a: np.ndarray, rhs: np.ndarray, limit: int) -> np.ndarray:
+    """Lawson-Hanson non-negative least squares: ``min |a w - rhs|, w >= 0``.
+
+    The column of steepest residual descent joins the passive set and
+    ``_walk`` restores a positive solve.  A pivot is kept only if it lowers
+    the residual; otherwise its column is barred until one does, so a pivot
+    spoilt by roundoff cannot cycle.
+    """
+    k = a.shape[1]
+    w = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    barred = np.zeros(k, dtype=bool)
+    res = float(np.linalg.norm(rhs))
+    for _ in range(limit):
+        grad = a.T @ (rhs - a @ w)
+        grad[passive | barred] = -np.inf
+        j = int(np.argmax(grad))
+        # below the floor the gradient is roundoff: w is feasible
+        if grad[j] <= 0.0 or res <= _KKT_TOL:
+            return w
+        inner = passive.copy()
+        inner[j] = True
+        trial, inner = _walk(a, rhs, w, inner)
+        trial_res = float(np.linalg.norm(a @ trial - rhs))
+        if trial_res < res:
+            w, passive, res = trial, inner, trial_res
+            barred[:] = False
+        else:
+            barred[j] = True
+    raise ConvergenceFailure(
+        f"non-negative least squares did not settle in {limit} pivots; "
+        f"residual {res:.3e}"
+    )
+
+
+def _least_norm(a: np.ndarray, rhs: np.ndarray, limit: int) -> np.ndarray:
+    """Goldfarb-Idnani dual active set for ``min |w|^2, a w = rhs, w >= 0``.
+
+    Each round solves the free columns' row-space system ``pinv(a_F) rhs``,
+    the least-norm point with the held weights at zero, and holds the
+    lowest-index negative weight ``p`` (Bland's rule).  The step to hold it
+    moves ``w`` along ``e_p`` projected onto the null space of the free
+    columns, while the multipliers of the weights already held fall by the
+    solve of ``e_p`` against the active normals; a held weight whose
+    multiplier would turn negative is released first.  The active normals
+    stay linearly independent, so the multipliers are unique and the dual
+    objective never falls (Goldfarb & Idnani, Math. Program. 27, 1 (1983)).
+    Returns the weights, free ones nonnegative to ``_KKT_TOL``.
+    """
+    k = a.shape[1]
+    held = np.zeros(k, dtype=bool)
+    pivots = 0
+    while True:
+        free = np.flatnonzero(~held)
+        pinv = np.linalg.pinv(a[:, free], rcond=1e-12)
+        w = np.zeros(k)
+        w[free] = pinv @ rhs
+        mult = np.zeros(k)
+        mult[held] = np.maximum(-a[:, held].T @ (pinv.T @ w[free]), 0.0)
+        viol = np.flatnonzero(~held & (w < -_KKT_TOL))
+        if viol.size == 0:
+            return w
+        p = int(viol[0])
+        while True:
+            pivots += 1
+            if pivots > limit:
+                raise ConvergenceFailure(
+                    f"least-norm completion did not settle in {limit} pivots; "
+                    f"least weight {np.min(w):.3e}"
+                )
+            lam = pinv[int(np.searchsorted(free, p))]
+            step = np.zeros(k)
+            step[free] = -pinv @ a[:, p]
+            step[p] += 1.0
+            hold = np.flatnonzero(held)
+            fall = -a[:, hold].T @ lam
+            drop = fall > _KKT_TOL
+            t1, j = np.inf, -1
+            if drop.any():
+                ratios = mult[hold][drop] / fall[drop]
+                t1, j = float(np.min(ratios)), int(hold[drop][np.argmin(ratios)])
+            t2 = -w[p] / step[p] if step[p] > _KKT_TOL else np.inf
+            if t2 <= t1:
+                # a full step, or none possible: the active normals already
+                # pin w_p, whose negative value on a feasible system is then
+                # roundoff; the closing walk and residual check catch it
+                held[p] = True
+                break
+            w = w + t1 * step if t2 < np.inf else w
+            mult[hold] -= t1 * fall
+            held[j] = False
+            free = np.flatnonzero(~held)
+            pinv = np.linalg.pinv(a[:, free], rcond=1e-12)
+
+
 def _min_norm_weights(axes: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Smallest nonnegative weights with ``sum w = 2`` and ``sum w s = 0``.
 
-    Exact support enumeration; each support's candidate is the row-space
-    solution of the restricted completeness system, which is the optimum
-    whenever that support is the optimal one.
+    Solves ``min |w|^2 / 2`` subject to ``A w = b``, ``w >= 0``, where
+    ``A = [1; axes^T]`` is 4 x k and ``b = (2, 0, 0, 0)``, exactly and in
+    finitely many pivots:
+
+    1. the row-space solution ``pinv(A) b`` is the optimum whenever it is
+       nonnegative, which settles symmetric ensembles in one solve;
+    2. otherwise Lawson-Hanson NNLS decides feasibility: a least residual
+       ``|A w - b|`` above ``match_tol`` means no measurement exists;
+    3. the Goldfarb-Idnani dual active set, on the system the NNLS point
+       solves exactly, finds the least-norm point, and a last ``_walk``
+       makes the weights the positive row-space solution on its support
+       alone, the candidate a search over every support would pick.
+
+    Every pivot is one 4 x m pseudo-inverse (m <= k) and each loop is
+    bounded by ``8 k + 32`` pivots, so the cost is polynomial in k.  Where
+    two identified axes are antipodal to within about 1e-6 rad the support
+    is ill-conditioned; the weights then still complete the measurement,
+    but their norm may exceed the least one.
     """
     k = axes.shape[0]
-    if k > 16:
+    a = np.vstack([np.ones((1, k)), axes.T])
+    rhs = np.array([2.0, 0.0, 0.0, 0.0])
+    w = np.linalg.pinv(a, rcond=1e-12) @ rhs
+    if np.min(w) >= 0.0 and np.linalg.norm(a @ w - rhs) <= tol.match_tol:
+        return w
+    limit = 8 * k + 32
+    w = _nnls(a, rhs, limit)
+    res = float(np.linalg.norm(a @ w - rhs))
+    if res > tol.match_tol:
         raise InfeasibleCompleteness(
-            f"completeness search over {k} identified states is not supported"
+            "no nonnegative completeness weights found: least residual "
+            f"{res:.3e} exceeds match_tol {tol.match_tol:.1e}"
         )
-    a_full = np.vstack([np.ones((1, k)), axes.T])
-    rhs = np.concatenate([[2.0], np.zeros(3)])
-    best = None
-    for size in range(1, k + 1):
-        for sup in itertools.combinations(range(k), size):
-            a = a_full[:, list(sup)]
-            w = np.linalg.pinv(a, rcond=1e-12) @ rhs
-            if np.min(w) < -1e-11:
-                continue
-            if np.linalg.norm(a @ w - rhs) > tol.match_tol:
-                continue
-            full = np.zeros(k)
-            full[list(sup)] = np.clip(w, 0.0, None)
-            norm = float(full @ full)
-            if best is None or norm < best[0] - 1e-15:
-                best = (norm, full)
-    if best is None:
-        raise InfeasibleCompleteness("no nonnegative completeness weights found")
-    return best[1]
+    # the system the NNLS point solves exactly is consistent even where the
+    # tolerance admits a residual, so the dual method never meets an
+    # infeasible one
+    w = _least_norm(a, a @ w, limit)
+    w, _ = _walk(a, rhs, np.maximum(w, 0.0), w > 0.0)
+    res = float(np.linalg.norm(a @ w - rhs))
+    if res > tol.match_tol:
+        raise ConvergenceFailure(
+            f"least-norm completion lost feasibility: residual {res:.3e} "
+            f"exceeds match_tol {tol.match_tol:.1e}"
+        )
+    return w
 
 
 def _assemble(ens: Ensemble, f: float, y: np.ndarray, tol: Tolerances):
@@ -273,14 +415,23 @@ def povm_weights(
     automatically optimal (summing the per-element success terms telescopes
     to the trace of the dual optimizer), so restricting the support is how
     alternative optimal measurements are selected.  Ties are broken by
-    minimum Euclidean norm.  Raises InfeasibleCompleteness when the chosen
-    support admits no measurement, e.g. non-antipodal two-element supports.
+    minimum Euclidean norm, found by the finite active-set method of
+    ``_min_norm_weights`` for any number k of identified states: one 4 x k
+    pseudo-inverse when the optimum uses every state, otherwise at most
+    ``8 k + 32`` pivots of that size per loop.  Raises
+    InfeasibleCompleteness when the chosen support admits no measurement,
+    e.g. non-antipodal two-element supports, or names a state twice.
     """
     if index_set is None:
         index_set = sol.identified
     index_set = tuple(index_set)
     if not index_set:
         raise InfeasibleCompleteness("empty index set")
+    repeated = sorted({x for x in index_set if index_set.count(x) > 1})
+    if repeated:
+        raise InfeasibleCompleteness(
+            f"index set names states {repeated} more than once"
+        )
     bad = [x for x in index_set if x not in sol.identified]
     if bad:
         raise InfeasibleCompleteness(

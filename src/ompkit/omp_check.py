@@ -102,14 +102,13 @@ def _transformed(ens: Ensemble, channel: QubitChannel, tol: Tolerances) -> Ensem
     return make_ensemble(states, out_tol)
 
 
-def _preserved_value(ens, sol, index_set, channel, tol) -> float:
-    """Success probability of the original measurement on the transformed
-    ensemble."""
-    w = povm_weights(ens, sol, index_set, tol)
+def _preserved_value(ens, sol, index_set, weights, channel, tol) -> float:
+    """Success probability of the measurement with ``weights`` on the
+    transformed ensemble."""
     total = 0.0
     for x in index_set:
         out = channel.apply(ens.blochs[x], tol)
-        total += ens.priors[x] * w[x] * 0.5 * (1.0 - sol.comp_axis(x) @ out)
+        total += ens.priors[x] * weights[x] * 0.5 * (1.0 - sol.comp_axis(x) @ out)
     return float(total)
 
 
@@ -144,7 +143,7 @@ def check_omp(
         )
     mode = Mode.STRONG if set(index_set) == set(sol.identified) else Mode.WEAK
     # validates membership and completeness of the chosen measurement
-    povm_weights(ens, sol, index_set, tol)
+    weights = povm_weights(ens, sol, index_set, tol)
     a1 = min(index_set)
     rest = [x for x in index_set if x != a1]
     lhs = []
@@ -183,7 +182,7 @@ def check_omp(
                 f"fitted degradation {delta:.3e} disagrees with re-solved "
                 f"drop {drop:.3e}"
             )
-        value = _preserved_value(ens, sol, index_set, channel, tol)
+        value = _preserved_value(ens, sol, index_set, weights, channel, tol)
         if abs(value - after_sol.p_guess) > 10.0 * tol.match_tol:
             raise ConsistencyError(
                 "preserved measurement is not optimal for the transformed "

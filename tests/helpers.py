@@ -1,13 +1,18 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and oracles for the test suite.
 
 Channels are drawn through random Stinespring isometries, so they are
 completely positive and trace preserving by construction, independent of the
-library's own CPTP tests.
+library's own CPTP tests.  The completeness weights have a brute-force
+oracle, a search over every support.
 """
+
+import itertools
 
 import numpy as np
 
 from ompkit import Ensemble, QubitChannel, make_ensemble
+from ompkit.bloch import DEFAULT_TOL, Tolerances
+from ompkit.errors import InfeasibleCompleteness
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -44,3 +49,33 @@ def random_ensemble(
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     vecs *= rng.uniform(min_norm, 1.0, size=(n, 1))
     return make_ensemble(list(zip(priors, vecs)))
+
+
+def enumerated_min_norm_weights(axes: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Test oracle for the completeness weights: try every support.
+
+    Each support's candidate is the row-space solution of the restricted
+    completeness system, which is the optimum whenever that support is the
+    optimal one; the smallest-norm admissible candidate wins.  The cost
+    doubles with every axis, so keep ``len(axes)`` small.
+    """
+    k = axes.shape[0]
+    a_full = np.vstack([np.ones((1, k)), axes.T])
+    rhs = np.concatenate([[2.0], np.zeros(3)])
+    best = None
+    for size in range(1, k + 1):
+        for sup in itertools.combinations(range(k), size):
+            a = a_full[:, list(sup)]
+            w = np.linalg.pinv(a, rcond=1e-12) @ rhs
+            if np.min(w) < -1e-11:
+                continue
+            if np.linalg.norm(a @ w - rhs) > tol.match_tol:
+                continue
+            full = np.zeros(k)
+            full[list(sup)] = np.clip(w, 0.0, None)
+            norm = float(full @ full)
+            if best is None or norm < best[0] - 1e-15:
+                best = (norm, full)
+    if best is None:
+        raise InfeasibleCompleteness("no nonnegative completeness weights found")
+    return best[1]

@@ -192,6 +192,25 @@ def test_invariant_errors_exit_3(tmp_path, capsys):
     assert "invariant violation" in err
 
 
+def test_solve_repeated_measurement_index_exit_3(tmp_path, capsys):
+    # the index set (0, 0, 1) once reported an incomplete measurement
+    epath = ensemble_file(tmp_path, "bb84")
+    assert main(["solve", epath, "--measurement", "0,0,1"]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation" in err
+    assert "more than once" in err
+
+
+def test_check_weak_repeated_index_exit_3(tmp_path, capsys):
+    # the same index set once gave a positive weak verdict
+    epath = ensemble_file(tmp_path, "bb84")
+    cpath = channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.2})
+    assert main(["check", epath, cpath, "--weak", "0,0,1"]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation" in err
+    assert "more than once" in err
+
+
 def test_family_determinism(tmp_path, capsys):
     epath = ensemble_file(tmp_path, "three_mubs")
     argv = ["family", epath, "--samples", "60", "--seed", "5", "--json", "--no-timestamp"]

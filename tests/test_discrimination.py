@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ompkit.bloch import Tolerances, eigen2
 from ompkit.discrimination import (
     CaseTag,
+    _min_norm_weights,
     oracle_random_search,
     povm_value,
     povm_weights,
@@ -17,7 +20,7 @@ from ompkit.ensembles import helstrom, make_ensemble
 from ompkit.errors import InfeasibleCompleteness, WrongArity, WrongLength
 from ompkit.fileio import bundled_ensemble
 
-from helpers import random_ensemble
+from helpers import enumerated_min_norm_weights, random_ensemble
 
 TOL = Tolerances()
 
@@ -182,3 +185,111 @@ def test_symmetry_op_is_positive():
     sol = solve(bundled_ensemble("unequal3"))
     lo, _hi, _axis = eigen2(sol.symmetry_op)
     assert lo >= -1e-12
+
+
+def test_repeated_index_rejected():
+    # (0, 0, 1) once completed to weights [0.5, 1, 0, 0]: sum 1.5, value 0.375
+    ens = bundled_ensemble("bb84")
+    sol = solve(ens)
+    with pytest.raises(InfeasibleCompleteness, match=r"\[0\]"):
+        povm_weights(ens, sol, index_set=(0, 0, 1))
+
+
+@pytest.mark.parametrize("k", [17, 20, 24])
+@pytest.mark.parametrize("radius", [1.0, 0.6])
+def test_regular_polygons_beyond_sixteen_states(k, radius):
+    # a regular k-gon on a tilted great circle identifies every state, and
+    # the symmetric measurement weights each one equally
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    w = np.array([2.0, 1.0, -2.0]) / 3.0
+    th = 2.0 * np.pi * np.arange(k) / k
+    vecs = radius * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * w)
+    ens = make_ensemble([(1.0 / k, v) for v in vecs])
+    sol = solve(ens)
+    assert sol.identified == tuple(range(k))
+    assert np.allclose(sol.povm_weights, 2.0 / k, rtol=0.0, atol=1e-12)
+    assert povm_value(ens, sol) == pytest.approx(sol.p_guess, abs=1e-12)
+
+
+# Integer directions: exact duplicates, antipodes and coplanar triples are
+# common, while distinct directions stay well separated, so the two
+# methods must agree to roundoff.
+_direction = st.tuples(*[st.integers(-4, 4)] * 3).filter(any)
+
+
+def _units(vectors):
+    a = np.array(vectors, dtype=float).reshape(-1, 3)
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+@st.composite
+def axis_sets(draw):
+    """At most ten unit axes in the shapes that stress the weight search."""
+    kind = draw(
+        st.sampled_from(
+            ["random", "coplanar", "duplicated", "antipodal", "single", "hemisphere"]
+        )
+    )
+    if kind == "single":
+        return _units([draw(_direction)])
+    if kind == "coplanar":
+        u = _units([draw(_direction)])[0]
+        other = draw(_direction.filter(lambda v: np.linalg.norm(np.cross(u, v)) > 0.5))
+        w = _units([np.cross(u, other)])[0]
+        steps = np.array(draw(st.lists(st.integers(0, 23), min_size=1, max_size=10)))
+        th = steps * np.pi / 12.0
+        return np.cos(th)[:, None] * u + np.sin(th)[:, None] * w
+    if kind == "hemisphere":
+        # every axis strictly on one side of a plane: no completion exists
+        normal = _units([draw(_direction)])[0]
+        axes = _units(draw(st.lists(_direction, min_size=1, max_size=10)))
+        axes = axes * np.where(axes @ normal < 0.0, -1.0, 1.0)[:, None]
+        return _units(axes + 0.1 * normal)
+    if kind == "random":
+        return _units(draw(st.lists(_direction, min_size=1, max_size=10)))
+    base = _units(draw(st.lists(_direction, min_size=1, max_size=5)))
+    if kind == "duplicated":
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=10))
+        return base[picks]
+    flips = draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+    return np.vstack([base, -base[flips]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(axis_sets())
+def test_min_norm_weights_match_enumeration(axes):
+    try:
+        want = enumerated_min_norm_weights(axes, TOL)
+    except InfeasibleCompleteness:
+        with pytest.raises(InfeasibleCompleteness):
+            _min_norm_weights(axes, TOL)
+        return
+    got = _min_norm_weights(axes, TOL)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        # a pair 1e-5 rad from antipodal beside an exact antipodal pair
+        [[1, -1e-5, 0], [0, 0, 1], [0, -1, 0], [0, -0.998052578, -0.0623782862],
+         [-1, 0, 0], [0, 0.998052578, 0.0623782862]],
+        # an antipodal pair tilted 1e-5 rad off a further axis
+        [[0, 0, 1], [1, 0, 0], [0, 1e-5, 1], [0, -1e-5, -1]],
+        [[0, 0, 1], [0, 0, 1], [0, 1e-5, 1], [0, -1e-5, -1]],
+        # two antipodal pairs share the weight: |w|^2 is 1, not 2
+        [[0, -1, 2], [0, 0, 1], [1, 0, -1], [1, -3, 1], [0, 2, -1], [-1, 0, 1],
+         [0, -2, 1]],
+        # one antipodal pair is optimal, the other axes in a half-plane
+        # around it: the multipliers of a rank-2 support are not unique
+        [[1, 0, 0], [-1, 2, 0], [0, 1, 0], [0, -1, -1], [-1, 1, -2], [-1, 1, 0],
+         [2, -1, -1], [1, 2, 1], [2, 2, 1], [-1, 0, 0]],
+    ],
+)
+def test_min_norm_weights_degenerate_axes(vectors):
+    # ill-conditioned or rank-deficient supports, on which a pivoting method
+    # can stop short, cycle or clip a weight
+    axes = _units(vectors)
+    got = _min_norm_weights(axes, TOL)
+    want = enumerated_min_norm_weights(axes, TOL)
+    assert np.max(np.abs(got - want)) <= 1e-12
