@@ -4,10 +4,10 @@ The dual of the discrimination problem asks for the Hermitian operator of
 least trace dominating every weighted state.  In Bloch coordinates that is a
 weighted smallest-enclosing-ball problem for the points ``q_x v_x / 2`` with
 additive offsets ``q_x / 2``; its optimal value is half the guessing
-probability.  ``solve_general`` solves it exactly by enumerating candidate
-active subsets and certifying one through the first-order conditions, so the
-result carries machine-precision optimality certificates rather than an
-iteration tolerance.
+probability.  ``solve_general`` solves it exactly by basis improvement, each
+basis of at most four states certified through the first-order conditions,
+so the result carries machine-precision optimality certificates rather than
+an iteration tolerance.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .bloch import DEFAULT_TOL, Herm2, Tolerances
 from .ensembles import Ensemble
 from .errors import ConvergenceFailure, InfeasibleCompleteness, WrongArity, WrongLength
 
-# Certification thresholds for the exact phase.  They gate acceptance of a
-# candidate optimum, not the quality of the answer itself, which is set by
-# the linear algebra.
+# Certification thresholds of a basis.  They gate acceptance of a candidate
+# optimum, not the quality of the answer itself, which is set by the linear
+# algebra; _FEAS_SLACK is also the exit test of the pivoting.
 _EQ_RES = 1e-9
 _MU_TOL = 1e-9
 _FEAS_SLACK = 1e-10
@@ -33,10 +33,6 @@ _FEAS_SLACK = 1e-10
 # counts as zero, a residual below it as exact, and a multiplier rate or
 # null-space component below it as absent.
 _KKT_TOL = 1e-12
-
-# Subgradient pruning keeps every state whose dual constraint comes within
-# this margin of binding at the approximate center.
-_PRUNE_MARGIN = 1e-3
 
 
 class CaseTag(enum.Enum):
@@ -88,24 +84,6 @@ def _centers(ens: Ensemble):
     return ens.blochs * (ens.priors[:, None] / 2.0), ens.priors / 2.0
 
 
-def _subgradient_center(cen: np.ndarray, off: np.ndarray, iters: int = 150):
-    """Rough minimizer of ``max_x (off_x + |y - cen_x|)`` for pruning."""
-    y = np.average(cen, axis=0, weights=off)
-    span = float(np.max(np.linalg.norm(cen - y, axis=1))) + 1.0e-3
-    best_y, best_f = y.copy(), np.inf
-    for k in range(1, iters + 1):
-        d = y - cen
-        dist = np.linalg.norm(d, axis=1)
-        vals = off + dist
-        i = int(np.argmax(vals))
-        if vals[i] < best_f:
-            best_f, best_y = float(vals[i]), y.copy()
-        if dist[i] < 1e-15:
-            break
-        y = y - (span / k) * (d[i] / dist[i])
-    return best_y, best_f
-
-
 def _kkt_multipliers(units: np.ndarray):
     """Least-squares convex multipliers for ``sum mu_i u_i = 0``."""
     k = units.shape[0]
@@ -115,14 +93,15 @@ def _kkt_multipliers(units: np.ndarray):
     res = float(np.linalg.norm(a @ mu - rhs))
     return mu, res
 
-def _certify_subset(idx, cen, off, f_cap):
+
+def _certify_subset(idx, cen, off):
     """Solve the equal-value system on one subset and certify it, or None.
 
     Active equalities pin ``y`` to an affine function of the common value;
     the remaining quadratic closes the system.  A root is accepted only if
     every equality holds to 1e-9, the convex multipliers exist with no
-    component below -1e-9, and no other state exceeds the value by more
-    than 1e-10.
+    component below -1e-9, and no other state of ``cen, off`` exceeds the
+    value by more than 1e-10.  Returns ``(f, y)`` for the smallest such root.
     """
     sub_c = cen[list(idx)]
     sub_o = off[list(idx)]
@@ -155,7 +134,7 @@ def _certify_subset(idx, cen, off, f_cap):
         roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
     best = None
     for f in sorted(roots):
-        if f < np.max(sub_o) - 1e-12 or f > f_cap:
+        if f < np.max(sub_o) - 1e-12:
             continue
         y = b_vec + a_vec * f
         d = y - sub_c
@@ -174,18 +153,28 @@ def _certify_subset(idx, cen, off, f_cap):
     return best
 
 
-def _enclosing_ball(cen, off, candidates, f_cap):
-    found = []
-    for size in range(1, min(4, len(candidates)) + 1):
-        for idx in itertools.combinations(candidates, size):
-            hit = _certify_subset(idx, cen, off, f_cap)
+def _pivot(basis: list, j: int, cen: np.ndarray, off: np.ndarray):
+    """``(basis, f, y)`` of the smallest certified ball of ``basis + [j]``.
+
+    ``j`` lies outside the ball of ``basis``, so every basis of the new ball
+    contains it: only those subsets are certified, against the at most five
+    balls of the pool, smallest size first.  None if none certifies.
+    """
+    pool = sorted(basis + [j])
+    sub_c, sub_o = cen[pool], off[pool]
+    pos = pool.index(j)
+    for size in range(1, min(len(pool), 4) + 1):
+        found = []
+        for idx in itertools.combinations(range(len(pool)), size):
+            if pos not in idx:
+                continue
+            hit = _certify_subset(idx, sub_c, sub_o)
             if hit is not None:
-                found.append(hit)
+                found.append((hit[0], hit[1], [pool[i] for i in idx]))
         if found:
-            break
-    if not found:
-        return None
-    return min(found, key=lambda t: t[0])
+            f, y, new = min(found, key=lambda t: t[0])
+            return new, f, y
+    return None
 
 
 def _walk(a: np.ndarray, rhs: np.ndarray, w: np.ndarray, free: np.ndarray):
@@ -446,24 +435,34 @@ def povm_weights(
 def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
     """Exact optimal discrimination of an arbitrary qubit ensemble.
 
-    A short subgradient descent localizes the dual optimizer, then active
-    subsets of up to four states are enumerated and certified.  Raises
-    ConvergenceFailure if no subset certifies, which for valid input
-    indicates degeneracy beyond the built-in tolerances.
+    Basis improvement for the smallest ball enclosing the balls
+    ``B(q_x v_x / 2, q_x / 2)``, an LP-type problem with bases of at most
+    four balls: from the ball of the largest prior, each pivot takes the
+    state farthest outside the current ball and computes the new basis from
+    scratch (``_pivot``), as move-to-front is not safe for balls (Fischer &
+    Gartner, IJCGA 14, 2004).  The radius rises strictly, so the loop is
+    finite; it ends once no state exceeds the ball by 1e-10.  Raises
+    ConvergenceFailure, stating the pivots made and the largest violation,
+    when a pivot certifies no ball or ``8 n + 32`` pivots do not settle:
+    degeneracy beyond the built-in tolerances.
     """
     cen, off = _centers(ens)
-    y0, f0 = _subgradient_center(cen, off)
-    vals = off + np.linalg.norm(cen - y0, axis=1)
-    candidates = [x for x in range(ens.n) if vals[x] >= f0 - _PRUNE_MARGIN]
-    hit = _enclosing_ball(cen, off, candidates, f0 + _PRUNE_MARGIN)
-    if hit is None and len(candidates) < ens.n:
-        hit = _enclosing_ball(cen, off, list(range(ens.n)), np.inf)
-    if hit is None:
-        raise ConvergenceFailure(
-            "no active subset certified; ensemble too degenerate for the "
-            "built-in certification tolerances"
-        )
-    return _assemble(ens, hit[0], hit[1], tol)
+    basis = [int(np.argmax(off))]
+    f, y = float(off[basis[0]]), cen[basis[0]]
+    limit = 8 * ens.n + 32
+    for pivots in range(limit + 1):
+        vals = off + np.linalg.norm(cen - y, axis=1)
+        j = int(np.argmax(vals))
+        if vals[j] <= f + _FEAS_SLACK:
+            return _assemble(ens, f, y, tol)
+        hit = None if pivots == limit else _pivot(basis, j, cen, off)
+        if hit is None:
+            break
+        basis, f, y = hit
+    raise ConvergenceFailure(
+        f"enclosing ball not certified after {pivots} pivots; state {j} "
+        f"still exceeds it by {vals[j] - f:.3e}"
+    )
 
 
 def solve_two_state(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
@@ -487,7 +486,8 @@ def solve_two_state(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminat
 
 
 def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
-    """Dispatch on arity: exact closed form for pairs, enumeration above."""
+    """Dispatch on arity: exact closed form for pairs, basis improvement
+    above."""
     if ens.n == 2:
         return solve_two_state(ens, tol)
     return solve_general(ens, tol)

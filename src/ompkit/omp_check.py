@@ -125,7 +125,12 @@ def check_omp(
     (strong check); passing a subset tests preservation of that particular
     measurement after validating it is a complete optimal measurement.
     The pairwise conditions are anchored at the smallest index; remaining
-    pairs follow by linearity, so the anchored set is exhaustive.
+    pairs follow by linearity, so the anchored set is exhaustive.  They make
+    ``K' = q_a N(rho_a) + (r_a - delta) sigma_a`` the candidate symmetry
+    operator of the transformed ensemble; the verdict is positive only if
+    ``K'`` also dominates every weighted state left out of the index set,
+    ``K' >= q_x N(rho_x)`` to ``psd_tol`` (the Yuen-Kennedy-Lax / Holevo
+    condition), tested by the closed-form smallest eigenvalue.
 
     A positive verdict is cross-validated: the transformed ensemble is
     re-solved and both the degradation identity and the optimality of the
@@ -163,7 +168,16 @@ def check_omp(
     residuals = np.linalg.norm(lhs - delta * axes, axis=1)
     min_gap = float(np.min(sol.gaps[list(index_set)]))
     r_bound_ok = -tol.match_tol <= delta <= min_gap + tol.match_tol
-    is_omp = bool(np.max(residuals) <= tol.match_tol) and r_bound_ok
+    # beta is twice the Bloch vector of K'; alpha I + b.sigma has smallest
+    # eigenvalue alpha - |b|
+    out = np.setdiff1d(np.arange(ens.n), index_set)
+    mapped = ens.blochs @ channel.matrix.T + channel.shift
+    beta = ens.priors[a1] * mapped[a1] + (sol.gaps[a1] - delta) * sol.comp_states[a1]
+    low = 0.5 * (sol.p_guess - delta - ens.priors[out]) - 0.5 * np.linalg.norm(
+        beta - ens.priors[out, None] * mapped[out], axis=1
+    )
+    dominated = bool(np.all(low >= -tol.psd_tol))
+    is_omp = bool(np.max(residuals) <= tol.match_tol) and r_bound_ok and dominated
     after_sol = solve(_transformed(ens, channel, tol), tol)
     report = OmpReport(
         is_omp=is_omp,

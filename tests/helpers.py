@@ -2,8 +2,9 @@
 
 Channels are drawn through random Stinespring isometries, so they are
 completely positive and trace preserving by construction, independent of the
-library's own CPTP tests.  The completeness weights have a brute-force
-oracle, a search over every support.
+library's own CPTP tests.  The completeness weights and the dual of the
+discrimination problem have brute-force oracles: a search over every
+support, and over every active subset of up to four states.
 """
 
 import itertools
@@ -12,13 +13,25 @@ import numpy as np
 
 from ompkit import Ensemble, QubitChannel, make_ensemble
 from ompkit.bloch import DEFAULT_TOL, Tolerances
-from ompkit.errors import InfeasibleCompleteness
+from ompkit.discrimination import _centers, _certify_subset
+from ompkit.errors import ConvergenceFailure, InfeasibleCompleteness
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+# Dirichlet priors and pure states, two of them identified: under
+# depolarizing noise of 0.1 the pairwise conditions hold on the identified
+# pair, but the new symmetry operator no longer dominates state 2, so the
+# measurement is not preserved (it scores below the new optimum)
+LEFT_OUT_STATES = [
+    (0.50692827135259, [-0.05645960720312963, 0.9954793594140081, 0.07637511201395575]),
+    (0.05095221172408325, [0.10297764114472645, -0.6309670725448575, -0.768944834684804]),
+    (0.35428851308686543, [-0.2645960992435544, 0.8912154219564922, 0.36840735054014156]),
+    (0.08783100383646125, [0.5871737660750675, 0.5367425859114379, 0.6059161368558561]),
+]
 
 
 def random_cptp_channel(rng: np.random.Generator, env_dim: int = 2) -> QubitChannel:
@@ -79,3 +92,24 @@ def enumerated_min_norm_weights(axes: np.ndarray, tol: Tolerances = DEFAULT_TOL)
     if best is None:
         raise InfeasibleCompleteness("no nonnegative completeness weights found")
     return best[1]
+
+
+def enumerated_enclosing_ball(ens: Ensemble):
+    """Test oracle for the dual optimum: certify every subset of states.
+
+    Tries every subset of up to four states, the most a basis of a ball in
+    three dimensions holds, smallest size first, certifying each against all
+    states, and returns ``(f, y)`` of the smallest certified ball of the
+    first size that has one.  The cost grows as n^4, so keep ``ens.n``
+    small.
+    """
+    cen, off = _centers(ens)
+    for size in range(1, min(4, ens.n) + 1):
+        found = []
+        for idx in itertools.combinations(range(ens.n), size):
+            hit = _certify_subset(idx, cen, off)
+            if hit is not None:
+                found.append(hit)
+        if found:
+            return min(found, key=lambda t: t[0])
+    raise ConvergenceFailure("no active subset certified")

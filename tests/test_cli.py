@@ -8,6 +8,8 @@ import pytest
 
 from ompkit.cli import main
 
+from helpers import LEFT_OUT_STATES
+
 
 def ensemble_file(tmp_path, name):
     text = resources.files("ompkit").joinpath(f"data/{name}.json").read_text()
@@ -89,6 +91,17 @@ def test_check_depolarizing(tmp_path, capsys):
     assert rep["p_guess_before"] - rep["p_guess_after"] == pytest.approx(
         0.05, abs=1e-10
     )
+
+
+def test_check_undominated_left_out_state_exit_1(tmp_path, capsys):
+    # a negative verdict, once a solver error (exit 4)
+    epath = tmp_path / "left_out.json"
+    states = [{"q": q, "bloch": v} for q, v in LEFT_OUT_STATES]
+    epath.write_text(json.dumps({"states": states}))
+    cpath = channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.1})
+    code, rep = run_json(capsys, ["check", str(epath), cpath])
+    assert code == 1
+    assert rep["is_omp"] is False
 
 
 def test_check_rotation_strong_vs_weak(tmp_path, capsys):

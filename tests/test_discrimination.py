@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ompkit import discrimination
 from ompkit.bloch import Tolerances, eigen2
 from ompkit.discrimination import (
     CaseTag,
+    _assemble,
     _min_norm_weights,
     oracle_random_search,
     povm_value,
@@ -17,10 +19,19 @@ from ompkit.discrimination import (
     solve_two_state,
 )
 from ompkit.ensembles import helstrom, make_ensemble
-from ompkit.errors import InfeasibleCompleteness, WrongArity, WrongLength
+from ompkit.errors import (
+    ConvergenceFailure,
+    InfeasibleCompleteness,
+    WrongArity,
+    WrongLength,
+)
 from ompkit.fileio import bundled_ensemble
 
-from helpers import enumerated_min_norm_weights, random_ensemble
+from helpers import (
+    enumerated_enclosing_ball,
+    enumerated_min_norm_weights,
+    random_ensemble,
+)
 
 TOL = Tolerances()
 
@@ -187,6 +198,12 @@ def test_symmetry_op_is_positive():
     assert lo >= -1e-12
 
 
+def test_uncertified_pivot_states_its_margin(monkeypatch):
+    monkeypatch.setattr(discrimination, "_pivot", lambda *args: None)
+    with pytest.raises(ConvergenceFailure, match=r"after 0 pivots; .* exceeds it by \d"):
+        solve(bundled_ensemble("bb84"))
+
+
 def test_repeated_index_rejected():
     # (0, 0, 1) once completed to weights [0.5, 1, 0, 0]: sum 1.5, value 0.375
     ens = bundled_ensemble("bb84")
@@ -208,6 +225,24 @@ def test_regular_polygons_beyond_sixteen_states(k, radius):
     sol = solve(ens)
     assert sol.identified == tuple(range(k))
     assert np.allclose(sol.povm_weights, 2.0 / k, rtol=0.0, atol=1e-12)
+    assert povm_value(ens, sol) == pytest.approx(sol.p_guess, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [13, 15, 17])
+def test_odd_regular_polygons(k):
+    # no antipodal pair, so every basis of the optimum holds three of the
+    # k states, all of which bind
+    th = 2.0 * np.pi * np.arange(k) / k
+    ens = make_ensemble([(1.0 / k, [np.cos(t), np.sin(t), 0.0]) for t in th])
+    assert solve(ens).p_guess == pytest.approx(2.0 / k, abs=1e-12)
+
+
+def test_thousand_states_with_many_near_active():
+    # 38 states come within 1e-3 of binding at the optimum, so a search over
+    # the active subsets among them tries C(38, <= 4), some 80,000 subsets
+    ens = random_ensemble(np.random.default_rng(232), 1000)
+    sol = solve(ens)
+    _assert_kkt(ens, sol)
     assert povm_value(ens, sol) == pytest.approx(sol.p_guess, abs=1e-12)
 
 
@@ -293,3 +328,74 @@ def test_min_norm_weights_degenerate_axes(vectors):
     got = _min_norm_weights(axes, TOL)
     want = enumerated_min_norm_weights(axes, TOL)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+_KINDS = (
+    "random",
+    "duplicated",
+    "cocircular",
+    "antipodal",
+    "tiny_prior",
+    "mixed_member",
+    "dominant_prior",
+)
+
+
+@st.composite
+def degenerate_ensembles(draw):
+    """At most eight states in the shapes that stress the enclosing ball."""
+    kind = draw(st.sampled_from(_KINDS))
+    n = draw(st.integers(3, 8))
+    counts = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    priors = counts / counts.sum()
+    if kind == "cocircular":
+        u = _units([draw(_direction)])[0]
+        other = draw(_direction.filter(lambda v: np.linalg.norm(np.cross(u, v)) > 0.5))
+        w = _units([np.cross(u, other)])[0]
+        height = draw(st.sampled_from([0.0, 0.3, -0.6]))
+        steps = np.array(draw(st.lists(st.integers(0, 23), min_size=n, max_size=n)))
+        th = steps * np.pi / 12.0
+        blochs = height * np.cross(u, w) + np.sqrt(1.0 - height**2) * (
+            np.cos(th)[:, None] * u + np.sin(th)[:, None] * w
+        )
+    elif kind == "random":
+        triple = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+        vecs = draw(st.lists(triple.filter(lambda v: np.linalg.norm(v) > 0.1),
+                             min_size=n, max_size=n))
+        radii = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+        blochs = _units(vecs) * radii[:, None]
+    else:
+        blochs = _units(draw(st.lists(_direction, min_size=n, max_size=n)))
+    if kind == "duplicated":
+        blochs[-1] = blochs[0]
+    elif kind == "antipodal":
+        # the pair is 1e-7 rad from antipodal
+        other = draw(_direction.filter(lambda v: np.linalg.norm(np.cross(blochs[0], v)) > 0.5))
+        tilt = _units([np.cross(blochs[0], other)])[0]
+        blochs[1] = -(np.cos(1e-7) * blochs[0] + np.sin(1e-7) * tilt)
+    elif kind == "tiny_prior":
+        priors = np.concatenate([[1e-7], (1.0 - 1e-7) * counts[1:] / counts[1:].sum()])
+    elif kind == "mixed_member":
+        blochs[0] = 0.0
+    elif kind == "dominant_prior":
+        priors = np.concatenate([[0.9], 0.1 * counts[1:] / counts[1:].sum()])
+    return make_ensemble(list(zip(priors, blochs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_ensembles())
+def test_enclosing_ball_matches_enumeration(ens):
+    try:
+        ball = enumerated_enclosing_ball(ens)
+    except ConvergenceFailure:
+        # beyond the absolute certification tolerances: the ball of a pure
+        # state holds every ball but one of prior ~1e-7 poking out by ~1e-8,
+        # so the center lies ~1e-8 from its own and its direction, hence the
+        # multipliers, are good to only ~1e-9; both searches must say so
+        with pytest.raises(ConvergenceFailure):
+            solve_general(ens)
+        return
+    want = _assemble(ens, *ball, TOL)
+    got = solve_general(ens)
+    assert abs(got.p_guess - want.p_guess) <= 1e-12
+    assert got.identified == want.identified

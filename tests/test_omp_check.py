@@ -32,7 +32,7 @@ from ompkit.omp_check import (
     check_unitary,
 )
 
-from helpers import random_cptp_channel, random_ensemble
+from helpers import LEFT_OUT_STATES, random_cptp_channel, random_ensemble
 
 
 def test_identity_preserves_everything():
@@ -70,6 +70,17 @@ def test_depolarizing_fails_for_unequal_priors():
     rep = check_omp(bundled_ensemble("unequal3"), depolarizing_channel(0.2))
     assert not rep.is_omp
     assert rep.residuals.max() > 1e-3
+
+
+def test_depolarizing_undominated_left_out_state():
+    # the pairwise conditions alone once gave a positive verdict here, which
+    # the re-solve then contradicted (ConsistencyError)
+    ens = make_ensemble(LEFT_OUT_STATES)
+    rep = check_omp(ens, depolarizing_channel(0.1))
+    assert rep.index_set == (0, 1)
+    assert rep.residuals.max() <= 1e-12 and rep.r_bound_ok
+    assert not rep.is_omp
+    assert rep.p_guess_before - rep.p_guess_after < rep.delta - 1e-3
 
 
 def test_pair_set_too_small():
