@@ -518,55 +518,3 @@ def povm_value(ens: Ensemble, sol: DiscriminationSolution, weights=None) -> floa
         total += ens.priors[x] * w * 0.5 * (1.0 - sol.comp_axis(x) @ ens.blochs[x])
     return float(total)
 
-
-def oracle_random_search(ens: Ensemble, samples: int = 2000, seed: int = 0) -> float:
-    """Primal lower bound on the guessing probability by random measurements.
-
-    Draws random projective pairs and random three- and four-outcome
-    measurements, labels every outcome greedily, and returns the best value
-    seen, never exceeding the true optimum.  Used as an independent oracle
-    in tests.
-    """
-    rng = np.random.default_rng(seed)
-    q, v = ens.priors, ens.blochs
-    best = float(np.max(q))
-    axes = rng.normal(size=(samples, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    # projective pairs: outcomes (I +- u.sigma)/2 with the best label each
-    up = 0.5 * (1.0 + axes @ v.T) * q
-    dn = 0.5 * (1.0 - axes @ v.T) * q
-    best = max(best, float(np.max(up.max(axis=1) + dn.max(axis=1))))
-    for k in (3, 4):
-        # whitened Wishart outcomes: M_j = S^{-1/2} G_j S^{-1/2}, batched
-        batch = max(1, samples // 20)
-        g = rng.normal(size=(batch, k, 2, 2)) + 1j * rng.normal(size=(batch, k, 2, 2))
-        g = g @ np.conj(np.swapaxes(g, 2, 3))
-        s = g.sum(axis=1)
-        tau = np.trace(s, axis1=1, axis2=2).real
-        det = (s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]).real
-        root = np.sqrt(np.maximum(det, 0.0))
-        # closed-form PSD square root of 2x2 S, then its adjugate inverse
-        sqrt_s = (s + root[:, None, None] * np.eye(2)) / np.sqrt(
-            tau + 2.0 * root
-        )[:, None, None]
-        sqrt_det = sqrt_s[:, 0, 0] * sqrt_s[:, 1, 1] - sqrt_s[:, 0, 1] * sqrt_s[:, 1, 0]
-        white = np.empty_like(sqrt_s)
-        white[:, 0, 0] = sqrt_s[:, 1, 1]
-        white[:, 1, 1] = sqrt_s[:, 0, 0]
-        white[:, 0, 1] = -sqrt_s[:, 0, 1]
-        white[:, 1, 0] = -sqrt_s[:, 1, 0]
-        white /= sqrt_det[:, None, None]
-        m = np.einsum("bij,bkjl,blm->bkim", white, g, white)
-        marks = np.stack(
-            [
-                (m[..., 0, 1] + m[..., 1, 0]).real,
-                (1j * (m[..., 0, 1] - m[..., 1, 0])).real,
-                (m[..., 0, 0] - m[..., 1, 1]).real,
-            ],
-            axis=-1,
-        )
-        traces = (m[..., 0, 0] + m[..., 1, 1]).real
-        probs = 0.5 * q * (traces[..., None] + marks @ v.T)
-        values = np.sum(np.max(probs, axis=2), axis=1)
-        best = max(best, float(np.max(values)))
-    return best

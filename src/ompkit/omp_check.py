@@ -2,11 +2,15 @@
 
 A channel preserves an optimal measurement exactly when one scalar, the
 guessing degradation, simultaneously closes every pairwise linear condition
-relating the channel to the measurement's complementary states.  The checks
-here fit that scalar by least squares, decide preservation from the
-residuals and the gap bound, and then cross-validate the verdict by
-re-solving the transformed ensemble, so a positive answer is always backed
-by two independent computations.
+relating the channel to the measurement's complementary states, and the new
+symmetry operator still dominates every state the measurement leaves out.
+check_omp evaluates the pairwise conditions as the linear system that
+omp_construct solves for the family, fits the scalar by least squares, and
+decides from the residuals, the gap bound and dominance.  The equiprobable
+and two-state checks are closed forms of the pairwise conditions.  Every
+positive verdict is cross-validated by one routine that re-solves the
+transformed ensemble, so a positive answer is always backed by two
+independent computations.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .channels import CptpVerdict, QubitChannel, is_cptp_choi
 from .discrimination import (
     CaseTag,
     DiscriminationSolution,
+    povm_value,
     povm_weights,
     solve,
     solve_two_state,
@@ -37,6 +42,7 @@ from .errors import (
     PairSetTooSmall,
     WrongArity,
 )
+from .omp_construct import build_system, pack
 
 
 class Mode(enum.Enum):
@@ -93,23 +99,39 @@ def _require_cptp(channel: QubitChannel, tol: Tolerances):
         raise ChannelNotCPTP("channel fails the Choi positivity test")
 
 
-def _transformed(ens: Ensemble, channel: QubitChannel, tol: Tolerances) -> Ensemble:
+def _resolve_mapped(ens: Ensemble, channel: QubitChannel, tol: Tolerances):
+    """The ensemble ``channel`` makes of ``ens``, and its re-solve."""
     # CPTP keeps outputs inside the ball up to roundoff; widen the guard
     out_tol = Tolerances(10.0 * tol.psd_tol, tol.rank_tol, tol.match_tol)
-    states = [
-        (q, channel.apply(v, out_tol)) for q, v in zip(ens.priors, ens.blochs)
-    ]
-    return make_ensemble(states, out_tol)
+    mapped = ens.blochs @ channel.matrix.T + channel.shift
+    after_ens = make_ensemble(zip(ens.priors, mapped), out_tol)
+    return after_ens, solve(after_ens, tol)
 
 
-def _preserved_value(ens, sol, index_set, weights, channel, tol) -> float:
-    """Success probability of the measurement with ``weights`` on the
-    transformed ensemble."""
-    total = 0.0
-    for x in index_set:
-        out = channel.apply(ens.blochs[x], tol)
-        total += ens.priors[x] * weights[x] * 0.5 * (1.0 - sol.comp_axis(x) @ out)
-    return float(total)
+def _cross_validate(sol, after_ens, after_sol, delta, tol, weights=None) -> None:
+    """Confirm a positive verdict against the re-solved transformed ensemble.
+
+    The optimum must drop by exactly ``delta``; given ``weights``, the
+    preserved measurement must also attain the new optimum.  Either margin
+    above ``10 match_tol`` raises ConsistencyError.
+    """
+    bound = 10.0 * tol.match_tol
+    drop = sol.p_guess - after_sol.p_guess
+    miss = abs(delta - drop)
+    if miss > bound:
+        raise ConsistencyError(
+            f"degradation {delta:.3e} disagrees with re-solved drop "
+            f"{drop:.3e}: margin {miss:.3e} exceeds {bound:.1e}"
+        )
+    if weights is not None:
+        value = povm_value(after_ens, sol, weights)
+        miss = abs(value - after_sol.p_guess)
+        if miss > bound:
+            raise ConsistencyError(
+                "preserved measurement is not optimal for the transformed "
+                f"ensemble: {value:.12g} vs {after_sol.p_guess:.12g}: margin "
+                f"{miss:.3e} exceeds {bound:.1e}"
+            )
 
 
 def check_omp(
@@ -124,8 +146,10 @@ def check_omp(
     With the default ``index_set`` the maximal identified set is used
     (strong check); passing a subset tests preservation of that particular
     measurement after validating it is a complete optimal measurement.
-    The pairwise conditions are anchored at the smallest index; remaining
-    pairs follow by linearity, so the anchored set is exhaustive.  They make
+    The pairwise conditions are the family's, ``build_system`` evaluated at
+    the channel with zero degradation: one residual per state paired with
+    the smallest index, the other pairs following by linearity, and the
+    degradation fitted by least squares.  They make
     ``K' = q_a N(rho_a) + (r_a - delta) sigma_a`` the candidate symmetry
     operator of the transformed ensemble; the verdict is positive only if
     ``K'`` also dominates every weighted state left out of the index set,
@@ -149,37 +173,32 @@ def check_omp(
     mode = Mode.STRONG if set(index_set) == set(sol.identified) else Mode.WEAK
     # validates membership and completeness of the chosen measurement
     weights = povm_weights(ens, sol, index_set, tol)
-    a1 = min(index_set)
-    rest = [x for x in index_set if x != a1]
-    lhs = []
-    axes = []
-    for aj in rest:
-        hvec = ens.priors[a1] * ens.blochs[a1] - ens.priors[aj] * ens.blochs[aj]
-        lhs.append(
-            channel.matrix @ hvec
-            + (ens.priors[a1] - ens.priors[aj]) * channel.shift
-            - hvec
-        )
-        axes.append(sol.comp_states[a1] - sol.comp_states[aj])
-    lhs = np.array(lhs)
-    axes = np.array(axes)
+    system = build_system(ens, sol, index_set, tol)
+    # the system's blocks hold one Bloch component each; with delta zero in
+    # the packed channel the product is the left-hand side of every pair
+    x = pack(channel, 0.0) - system.identity_vec
+    lhs = (system.coeff_matrix @ x).reshape(3, -1).T
+    axes = system.comp_diffs
     denom = float(np.sum(axes * axes))
     delta = float(np.sum(lhs * axes) / denom) if denom > 1e-18 else 0.0
     residuals = np.linalg.norm(lhs - delta * axes, axis=1)
     min_gap = float(np.min(sol.gaps[list(index_set)]))
     r_bound_ok = -tol.match_tol <= delta <= min_gap + tol.match_tol
+    after_ens, after_sol = _resolve_mapped(ens, channel, tol)
     # beta is twice the Bloch vector of K'; alpha I + b.sigma has smallest
     # eigenvalue alpha - |b|
+    a1 = min(index_set)
     out = np.setdiff1d(np.arange(ens.n), index_set)
-    mapped = ens.blochs @ channel.matrix.T + channel.shift
+    mapped = after_ens.blochs
     beta = ens.priors[a1] * mapped[a1] + (sol.gaps[a1] - delta) * sol.comp_states[a1]
     low = 0.5 * (sol.p_guess - delta - ens.priors[out]) - 0.5 * np.linalg.norm(
         beta - ens.priors[out, None] * mapped[out], axis=1
     )
     dominated = bool(np.all(low >= -tol.psd_tol))
     is_omp = bool(np.max(residuals) <= tol.match_tol) and r_bound_ok and dominated
-    after_sol = solve(_transformed(ens, channel, tol), tol)
-    report = OmpReport(
+    if is_omp:
+        _cross_validate(sol, after_ens, after_sol, delta, tol, weights)
+    return OmpReport(
         is_omp=is_omp,
         delta=delta,
         residuals=residuals,
@@ -189,20 +208,6 @@ def check_omp(
         p_guess_before=sol.p_guess,
         p_guess_after=after_sol.p_guess,
     )
-    if is_omp:
-        drop = sol.p_guess - after_sol.p_guess
-        if abs(delta - drop) > 10.0 * tol.match_tol:
-            raise ConsistencyError(
-                f"fitted degradation {delta:.3e} disagrees with re-solved "
-                f"drop {drop:.3e}"
-            )
-        value = _preserved_value(ens, sol, index_set, weights, channel, tol)
-        if abs(value - after_sol.p_guess) > 10.0 * tol.match_tol:
-            raise ConsistencyError(
-                "preserved measurement is not optimal for the transformed "
-                f"ensemble: {value:.12g} vs {after_sol.p_guess:.12g}"
-            )
-    return report
 
 
 def check_equiprobable(
@@ -226,23 +231,16 @@ def check_equiprobable(
         sol = solve(ens, tol)
     if len(sol.identified) < 2:
         raise PairSetTooSmall("need at least two identified states")
-    a1 = min(sol.identified)
-    diffs = np.array(
-        [ens.blochs[a1] - ens.blochs[aj] for aj in sol.identified if aj != a1]
-    )
+    ident = np.array(sol.identified)
+    a1 = ident.min()
+    diffs = ens.blochs[a1] - ens.blochs[ident[ident != a1]]
     mapped = diffs @ channel.matrix.T
     kappa = float(np.sum(mapped * diffs) / np.sum(diffs * diffs))
     residual = float(np.max(np.linalg.norm(mapped - kappa * diffs, axis=1)))
     is_omp = residual <= tol.match_tol and 0.0 < kappa <= 1.0 + tol.match_tol
     delta = (1.0 - kappa) * (sol.p_guess - 1.0 / ens.n)
     if is_omp:
-        after = solve(_transformed(ens, channel, tol), tol)
-        drop = sol.p_guess - after.p_guess
-        if abs(delta - drop) > 10.0 * tol.match_tol:
-            raise ConsistencyError(
-                f"degradation {delta:.3e} disagrees with re-solved drop "
-                f"{drop:.3e}"
-            )
+        _cross_validate(sol, *_resolve_mapped(ens, channel, tol), delta, tol)
     return EquiprobableReport(is_omp, kappa, delta, residual)
 
 
@@ -275,13 +273,7 @@ def check_two_state(
     )
     delta = (1.0 - scale) * (sol.p_guess - 0.5)
     if is_omp:
-        after = solve(_transformed(ens, channel, tol), tol)
-        drop = sol.p_guess - after.p_guess
-        if abs(delta - drop) > 10.0 * tol.match_tol:
-            raise ConsistencyError(
-                f"degradation {delta:.3e} disagrees with re-solved drop "
-                f"{drop:.3e}"
-            )
+        _cross_validate(sol, *_resolve_mapped(ens, channel, tol), delta, tol)
     return TwoStateReport(is_omp, scale, offset, delta, residual)
 
 
@@ -344,17 +336,14 @@ def check_pg_preserving(
     This is the zero-degradation condition over all pairs, identified or
     not; such channels keep the guessing probability exactly.
     """
-    for x in range(ens.n):
-        for y in range(x + 1, ens.n):
-            hvec = ens.priors[x] * ens.blochs[x] - ens.priors[y] * ens.blochs[y]
-            g = (
-                channel.matrix @ hvec
-                + (ens.priors[x] - ens.priors[y]) * channel.shift
-                - hvec
-            )
-            if np.linalg.norm(g) > tol.match_tol:
-                return False
-    return True
+    # u_x - u_y is the pair (x, y) condition; keep every pair within tol
+    u = ens.priors[:, None] * (
+        ens.blochs @ channel.matrix.T + channel.shift - ens.blochs
+    )
+    return all(
+        np.all(np.linalg.norm(u[x + 1 :] - u[x], axis=1) <= tol.match_tol)
+        for x in range(ens.n - 1)
+    )
 
 
 def check_convex_mix(

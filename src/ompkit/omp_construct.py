@@ -109,26 +109,23 @@ def build_system(
         raise PairSetTooSmall(
             f"need at least two identified states, got {len(index_set)}"
         )
-    for x in index_set:
-        if x not in sol.identified:
-            raise MissingComplementaryState(f"state {x} is not identified")
-        if np.linalg.norm(sol.comp_states[x]) < 0.5:
-            raise MissingComplementaryState(
-                f"state {x} has no complementary axis"
-            )
+    unknown = set(index_set).difference(sol.identified)
+    if unknown:
+        raise MissingComplementaryState(f"state {min(unknown)} is not identified")
+    idx = np.array(index_set)
+    short = np.linalg.norm(sol.comp_states[idx], axis=1) < 0.5
+    if np.any(short):
+        raise MissingComplementaryState(
+            f"state {idx[short][0]} has no complementary axis"
+        )
     a1 = min(index_set)
-    rest = [x for x in index_set if x != a1]
+    rest = idx[idx != a1]
     m1 = len(rest)
-    rows = np.array(
-        [
-            ens.priors[a1] * ens.blochs[a1] - ens.priors[aj] * ens.blochs[aj]
-            for aj in rest
-        ]
+    rows = (
+        ens.priors[a1] * ens.blochs[a1] - ens.priors[rest, None] * ens.blochs[rest]
     )
-    dq = np.array([ens.priors[a1] - ens.priors[aj] for aj in rest])
-    sdiff = np.array(
-        [sol.comp_states[a1] - sol.comp_states[aj] for aj in rest]
-    )
+    dq = ens.priors[a1] - ens.priors[rest]
+    sdiff = sol.comp_states[a1] - sol.comp_states[rest]
     q = np.zeros((3 * m1, N_UNKNOWNS))
     for i in range(3):
         block = slice(i * m1, (i + 1) * m1)
@@ -220,9 +217,13 @@ def sieve_admissible(
     """Random admissible members of the family.
 
     Coefficients are drawn uniformly from ``[-box, box]^dim``; a member is
-    kept when its degradation lies in ``[0, min gap]`` up to tolerance and
-    its Choi operator is positive.  Every kept member is re-verified through
-    the pairwise check as a guard against assembly bugs.
+    kept when its degradation lies in ``[0, min gap]`` up to tolerance, its
+    Choi operator is positive, and check_omp confirms it.  A member that
+    meets the pairwise conditions but whose new symmetry operator fails to
+    dominate a state left out of the measurement is dropped: the family
+    holds the pairwise conditions only.  A member that fails the pairwise
+    conditions or the degradation bound in check_omp raises
+    ConsistencyError, since that is an assembly bug.
     """
     from .omp_check import check_omp
 
@@ -238,9 +239,14 @@ def sieve_admissible(
         if is_cptp_choi(channel, tol.psd_tol) is not CptpVerdict.CPTP:
             continue
         report = check_omp(sys.ensemble, channel, sys.solution, sys.index_set, tol)
-        if not report.is_omp:
+        worst = float(np.max(report.residuals))
+        if worst > tol.match_tol or not report.r_bound_ok:
             raise ConsistencyError(
-                "sieved member fails the pairwise check; family assembly bug"
+                "sieved member fails the pairwise check: max residual "
+                f"{worst:.3e} (bound {tol.match_tol:.1e}), delta "
+                f"{report.delta:.3e} (bound [0, {min_gap:.6g}]); family "
+                "assembly bug"
             )
-        kept.append(SieveSample(channel, delta, c))
+        if report.is_omp:
+            kept.append(SieveSample(channel, delta, c))
     return kept

@@ -22,7 +22,6 @@ from ompkit.channels import (
 )
 from ompkit.cli import main
 from ompkit.discrimination import (
-    oracle_random_search,
     povm_value,
     povm_weights,
     solve,
@@ -35,7 +34,7 @@ from ompkit.gallery import _affine_fit
 from ompkit.omp_check import check_equiprobable, check_omp, check_convex_mix
 from ompkit.omp_construct import family_for, sieve_admissible
 
-from helpers import random_ensemble
+from helpers import oracle_random_search, random_ensemble
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -8,7 +8,7 @@ import pytest
 
 from ompkit.cli import main
 
-from helpers import LEFT_OUT_STATES
+from helpers import LEFT_OUT_SIEVE, LEFT_OUT_STATES
 
 
 def ensemble_file(tmp_path, name):
@@ -103,6 +103,16 @@ def test_check_undominated_left_out_state_exit_1(tmp_path, capsys):
     assert code == 1
     assert rep["is_omp"] is False
 
+
+def test_family_undominated_member_exit_0(tmp_path, capsys):
+    # the sieve drops the undominated member, once a solver error (exit 4)
+    epath = tmp_path / "left_out_sieve.json"
+    states = [{"q": q, "bloch": v} for q, v in LEFT_OUT_SIEVE]
+    epath.write_text(json.dumps({"states": states}))
+    argv = ["family", str(epath), "--samples", "24", "--seed", "0", "--box", "0.5"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["kept"] == 1
 
 def test_check_rotation_strong_vs_weak(tmp_path, capsys):
     epath = ensemble_file(tmp_path, "bb84")

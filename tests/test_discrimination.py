@@ -11,7 +11,6 @@ from ompkit.discrimination import (
     CaseTag,
     _assemble,
     _min_norm_weights,
-    oracle_random_search,
     povm_value,
     povm_weights,
     solve,
@@ -30,6 +29,7 @@ from ompkit.fileio import bundled_ensemble
 from helpers import (
     enumerated_enclosing_ball,
     enumerated_min_norm_weights,
+    oracle_random_search,
     random_ensemble,
 )
 

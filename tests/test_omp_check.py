@@ -1,8 +1,11 @@
 """Measurement-preservation checks across channel families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ompkit import omp_check
 from ompkit.bloch import Tolerances
 from ompkit.channels import (
     QubitChannel,
@@ -14,6 +17,7 @@ from ompkit.discrimination import solve
 from ompkit.ensembles import make_ensemble
 from ompkit.errors import (
     BadParameter,
+    ConsistencyError,
     DominatedState,
     NotEquiprobable,
     NotOmpInput,
@@ -32,7 +36,12 @@ from ompkit.omp_check import (
     check_unitary,
 )
 
-from helpers import LEFT_OUT_STATES, random_cptp_channel, random_ensemble
+from helpers import (
+    LEFT_OUT_STATES,
+    pairwise_pg_preserving,
+    random_cptp_channel,
+    random_ensemble,
+)
 
 
 def test_identity_preserves_everything():
@@ -181,6 +190,41 @@ def test_pg_preserving():
     assert not check_pg_preserving(bundled_ensemble("bb84"), depolarizing_channel(0.2))
 
 
+def test_pg_preserving_matches_pairwise_oracle():
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for kind in range(5):
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            if kind == 0:
+                # states on the rotation axis stay put
+                ens = make_ensemble(
+                    zip(rng.dirichlet(np.ones(n)), np.outer(rng.uniform(-1, 1, n), axis))
+                )
+            else:
+                ens = random_ensemble(rng, n)
+            if kind in (0, 1):
+                channel = unitary_channel(axis, float(rng.uniform(0, np.pi)))
+            elif kind == 2:
+                channel = identity_channel()
+            elif kind == 3:
+                channel = random_cptp_channel(rng)
+            else:
+                # near the tolerance: a perturbed identity, not a channel
+                eps = 10.0 ** rng.uniform(-11, -5)
+                channel = QubitChannel(
+                    np.eye(3) + eps * rng.normal(size=(3, 3)), eps * rng.normal(size=3)
+                )
+            verdict = check_pg_preserving(ens, channel)
+            assert verdict is pairwise_pg_preserving(ens, channel)
+            verdicts.append((kind, n, verdict))
+    assert any(v and n >= 3 for kind, n, v in verdicts if kind == 0)
+    assert any(v for kind, n, v in verdicts if kind == 4)
+    assert any(not v for kind, n, v in verdicts if kind == 4)
+    assert not any(v for kind, n, v in verdicts if kind == 3)
+
 def test_convex_mix_blends_degradation():
     ens = bundled_ensemble("bb84")
     rep = check_convex_mix(ens, identity_channel(), depolarizing_channel(0.2), 0.5)
@@ -193,6 +237,36 @@ def test_convex_mix_blends_degradation():
             ens, unitary_channel((0, 0, 1), np.pi / 7), identity_channel(), 0.5
         )
 
+
+@pytest.mark.parametrize(
+    "name, target",
+    [
+        ("check_omp", "solve"),
+        ("check_omp", "povm_value"),
+        ("check_equiprobable", "solve"),
+        ("check_two_state", "solve"),
+    ],
+)
+def test_cross_validation_states_its_margin(monkeypatch, name, target):
+    # the re-solve or the preserved value is made to miss by 1e-6, ten times
+    # the bound; the solution is passed in, so only the re-solve is patched
+    if name == "check_two_state":
+        pair = make_ensemble([(0.7, (0, 0, 1)), (0.3, (0, 0, -1))])
+        args = (pair, depolarizing_channel(0.4))
+    else:
+        ens = bundled_ensemble("bb84" if name == "check_omp" else "three_mubs")
+        args = (ens, depolarizing_channel(0.2), solve(ens))
+    real = getattr(omp_check, target)
+
+    def lowered(*a):
+        out = real(*a)
+        if target == "solve":
+            return dataclasses.replace(out, p_guess=out.p_guess - 1e-6)
+        return out - 1e-6
+
+    monkeypatch.setattr(omp_check, target, lowered)
+    with pytest.raises(ConsistencyError, match=r"margin 1\.000e-06 exceeds 1\.0e-07"):
+        getattr(omp_check, name)(*args)
 
 def test_guessing_probability_never_increases():
     rng = np.random.default_rng(17)

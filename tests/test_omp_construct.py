@@ -1,13 +1,16 @@
 """The linear family of measurement-preserving channels and its sieve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ompkit.bloch import pinv
-from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi
+from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi, unitary_channel
 from ompkit.discrimination import solve
 from ompkit.ensembles import make_ensemble
 from ompkit.errors import (
+    ConsistencyError,
     DeltaUnreachable,
     MissingComplementaryState,
     PairSetTooSmall,
@@ -30,7 +33,7 @@ from ompkit.omp_construct import (
     unpack,
 )
 
-from helpers import random_ensemble
+from helpers import LEFT_OUT_SIEVE, random_ensemble
 
 
 def test_pack_unpack_round_trip():
@@ -247,6 +250,30 @@ def test_sieve_respects_degradation_window():
     for s in kept:
         assert -1e-9 <= s.delta <= 1 / 3 + 1e-9
 
+
+def test_sieve_drops_undominated_member():
+    # draw index 20 is CPTP and meets the pairwise conditions, but leaves a
+    # state undominated; the sieve once raised ConsistencyError on it
+    ens = make_ensemble(LEFT_OUT_SIEVE)
+    kept = sieve_admissible(family_for(ens), count=24, seed=0, box=0.5)
+    assert len(kept) == 1
+    assert check_omp(ens, kept[0].channel).is_omp
+
+
+def test_sieve_guard_states_residual():
+    # a rotation is no member of the bb84 family: the guard must call it an
+    # assembly bug and state the margin
+    fam = family_for(bundled_ensemble("bb84"))
+    broken = dataclasses.replace(
+        fam,
+        particular=pack(unitary_channel((1, 0, 0), 0.3), 0.0),
+        null_basis=np.zeros((N_UNKNOWNS, 0)),
+        dim=0,
+    )
+    with pytest.raises(
+        ConsistencyError, match=r"max residual \d\.\d{3}e-\d\d \(bound 1\.0e-08\)"
+    ):
+        sieve_admissible(broken, count=3)
 
 def test_solve_family_direct():
     sys = build_system(bundled_ensemble("three_mubs"))
