@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -278,7 +279,10 @@ def _add_common(sub) -> None:
                      help="omit the timestamp field for byte-reproducible reports")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args returns a fresh
+    namespace on every call, so no option carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="ompkit",
         description="Optimal discrimination of qubit ensembles and "

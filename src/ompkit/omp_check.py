@@ -134,6 +134,25 @@ def _cross_validate(sol, after_ens, after_sol, delta, tol, weights=None) -> None
             )
 
 
+def _dominates_left_out(ens, sol, index_set, mapped, delta, tol) -> bool:
+    """Whether ``K' = q_a N(rho_a) + (r_a - delta) sigma_a`` dominates every
+    weighted state left out of ``index_set``, ``K' >= q_x N(rho_x)`` to
+    ``psd_tol`` (the Yuen-Kennedy-Lax / Holevo condition).
+
+    ``mapped`` holds the channel's image of every Bloch vector.  The test is
+    the closed-form smallest eigenvalue: beta is twice the Bloch vector of
+    the difference, and ``alpha I + b.sigma`` has smallest eigenvalue
+    ``alpha - |b|``.
+    """
+    a1 = min(index_set)
+    out = np.setdiff1d(np.arange(ens.n), index_set)
+    beta = ens.priors[a1] * mapped[a1] + (sol.gaps[a1] - delta) * sol.comp_states[a1]
+    low = 0.5 * (sol.p_guess - delta - ens.priors[out]) - 0.5 * np.linalg.norm(
+        beta - ens.priors[out, None] * mapped[out], axis=1
+    )
+    return bool(np.all(low >= -tol.psd_tol))
+
+
 def check_omp(
     ens: Ensemble,
     channel: QubitChannel,
@@ -152,9 +171,7 @@ def check_omp(
     degradation fitted by least squares.  They make
     ``K' = q_a N(rho_a) + (r_a - delta) sigma_a`` the candidate symmetry
     operator of the transformed ensemble; the verdict is positive only if
-    ``K'`` also dominates every weighted state left out of the index set,
-    ``K' >= q_x N(rho_x)`` to ``psd_tol`` (the Yuen-Kennedy-Lax / Holevo
-    condition), tested by the closed-form smallest eigenvalue.
+    ``K'`` also dominates every weighted state left out of the index set.
 
     A positive verdict is cross-validated: the transformed ensemble is
     re-solved and both the degradation identity and the optimality of the
@@ -185,16 +202,7 @@ def check_omp(
     min_gap = float(np.min(sol.gaps[list(index_set)]))
     r_bound_ok = -tol.match_tol <= delta <= min_gap + tol.match_tol
     after_ens, after_sol = _resolve_mapped(ens, channel, tol)
-    # beta is twice the Bloch vector of K'; alpha I + b.sigma has smallest
-    # eigenvalue alpha - |b|
-    a1 = min(index_set)
-    out = np.setdiff1d(np.arange(ens.n), index_set)
-    mapped = after_ens.blochs
-    beta = ens.priors[a1] * mapped[a1] + (sol.gaps[a1] - delta) * sol.comp_states[a1]
-    low = 0.5 * (sol.p_guess - delta - ens.priors[out]) - 0.5 * np.linalg.norm(
-        beta - ens.priors[out, None] * mapped[out], axis=1
-    )
-    dominated = bool(np.all(low >= -tol.psd_tol))
+    dominated = _dominates_left_out(ens, sol, index_set, after_ens.blochs, delta, tol)
     is_omp = bool(np.max(residuals) <= tol.match_tol) and r_bound_ok and dominated
     if is_omp:
         _cross_validate(sol, after_ens, after_sol, delta, tol, weights)
@@ -220,9 +228,11 @@ def check_equiprobable(
 
     For equal priors the pairwise conditions collapse to one scalar: every
     identified difference vector must be an eigenvector of the channel
-    matrix with a common ratio in (0, 1].  The shift drops out entirely.
+    matrix with a common ratio in (0, 1].  The shift drops out of them.
     The degradation is the lost fraction of the common gap,
-    ``(1 - kappa) * (p_guess - 1/n)``.
+    ``(1 - kappa) * (p_guess - 1/n)``.  As in check_omp, the new symmetry
+    operator must also dominate every state left out of the measurement,
+    and the shift does enter that test.
     """
     _require_cptp(channel, tol)
     if np.ptp(ens.priors) > tol.match_tol:
@@ -237,8 +247,13 @@ def check_equiprobable(
     mapped = diffs @ channel.matrix.T
     kappa = float(np.sum(mapped * diffs) / np.sum(diffs * diffs))
     residual = float(np.max(np.linalg.norm(mapped - kappa * diffs, axis=1)))
-    is_omp = residual <= tol.match_tol and 0.0 < kappa <= 1.0 + tol.match_tol
     delta = (1.0 - kappa) * (sol.p_guess - 1.0 / ens.n)
+    images = ens.blochs @ channel.matrix.T + channel.shift
+    is_omp = (
+        residual <= tol.match_tol
+        and 0.0 < kappa <= 1.0 + tol.match_tol
+        and _dominates_left_out(ens, sol, sol.identified, images, delta, tol)
+    )
     if is_omp:
         _cross_validate(sol, *_resolve_mapped(ens, channel, tol), delta, tol)
     return EquiprobableReport(is_omp, kappa, delta, residual)

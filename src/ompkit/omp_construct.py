@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import DEFAULT_TOL, Tolerances, nullspace, pinv
-from .channels import CptpVerdict, QubitChannel, is_cptp_choi
+from .channels import QubitChannel, choi_min_eigenvalues
 from .discrimination import DiscriminationSolution, solve
 from .ensembles import Ensemble
 from .errors import (
@@ -32,6 +32,8 @@ from .errors import (
 N_UNKNOWNS = 13
 SHIFT_COORDS = (9, 10, 11)
 DELTA_COORD = 12
+# sieve draws screened per batched Choi test; bounds the sieve's memory
+_SIEVE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,11 @@ def sieve_admissible(
     holds the pairwise conditions only.  A member that fails the pairwise
     conditions or the degradation bound in check_omp raises
     ConsistencyError, since that is an assembly bug.
+
+    The draws are screened in blocks of ``_SIEVE_BLOCK``: one product builds
+    every member of a block and one batched eigensolve tests their Choi
+    operators.  Successive blocks continue the generator's stream, so the
+    draws are those of one ``uniform`` call per member.
     """
     from .omp_check import check_omp
 
@@ -231,22 +238,28 @@ def sieve_admissible(
     sys = fam.system
     min_gap = float(np.min(sys.solution.gaps[list(sys.index_set)]))
     kept = []
-    for _ in range(int(count)):
-        c = rng.uniform(-box, box, size=fam.dim)
-        channel, delta = unpack(fam.particular + fam.null_basis @ c)
-        if not -tol.match_tol <= delta <= min_gap + tol.match_tol:
-            continue
-        if is_cptp_choi(channel, tol.psd_tol) is not CptpVerdict.CPTP:
-            continue
-        report = check_omp(sys.ensemble, channel, sys.solution, sys.index_set, tol)
-        worst = float(np.max(report.residuals))
-        if worst > tol.match_tol or not report.r_bound_ok:
-            raise ConsistencyError(
-                "sieved member fails the pairwise check: max residual "
-                f"{worst:.3e} (bound {tol.match_tol:.1e}), delta "
-                f"{report.delta:.3e} (bound [0, {min_gap:.6g}]); family "
-                "assembly bug"
-            )
-        if report.is_omp:
-            kept.append(SieveSample(channel, delta, c))
+    left = max(int(count), 0)
+    while left > 0:
+        coeffs = rng.uniform(-box, box, size=(min(left, _SIEVE_BLOCK), fam.dim))
+        left -= len(coeffs)
+        members = fam.particular + coeffs @ fam.null_basis.T
+        deltas = members[:, DELTA_COORD]
+        ok = (-tol.match_tol <= deltas) & (deltas <= min_gap + tol.match_tol)
+        ok[ok] = choi_min_eigenvalues(members[ok, :DELTA_COORD]) >= -tol.psd_tol
+        for c in coeffs[ok]:
+            # rebuilt member by member: the batched product may differ from
+            # this one in the last bits, and the reported D, t and delta
+            # come from this expression
+            channel, delta = unpack(fam.particular + fam.null_basis @ c)
+            report = check_omp(sys.ensemble, channel, sys.solution, sys.index_set, tol)
+            worst = float(np.max(report.residuals))
+            if worst > tol.match_tol or not report.r_bound_ok:
+                raise ConsistencyError(
+                    "sieved member fails the pairwise check: max residual "
+                    f"{worst:.3e} (bound {tol.match_tol:.1e}), delta "
+                    f"{report.delta:.3e} (bound [0, {min_gap:.6g}]); family "
+                    "assembly bug"
+                )
+            if report.is_omp:
+                kept.append(SieveSample(channel, delta, c))
     return kept

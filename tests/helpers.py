@@ -6,7 +6,9 @@ library's own CPTP tests.  The completeness weights and the dual of the
 discrimination problem have brute-force oracles: a search over every
 support, and over every active subset of up to four states.  The guessing
 probability has a primal lower bound from random measurements, and exact
-guessing-probability preservation a test of every state pair.
+guessing-probability preservation a test of every state pair.  The Choi
+operator has a loop-built oracle from the images of the matrix units, and
+the batched sieve a per-draw one.
 """
 
 import itertools
@@ -17,6 +19,8 @@ from ompkit import Ensemble, QubitChannel, make_ensemble
 from ompkit.bloch import DEFAULT_TOL, Tolerances
 from ompkit.discrimination import _centers, _certify_subset
 from ompkit.errors import ConvergenceFailure, InfeasibleCompleteness
+from ompkit.omp_check import check_omp
+from ompkit.omp_construct import SieveSample, unpack
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -47,6 +51,19 @@ LEFT_OUT_SIEVE = [
     (0.2555025178962908, [-0.7999831343649711, 0.5646396018985436, 0.203000257880257]),
     (0.03969344237885781, [-0.026321147468607708, -0.8059231098299015, -0.5914348131772734]),
 ]
+
+# Equal priors, states 0, 1 and 3 identified: the family member with
+# coefficients default_rng(2).uniform(-0.3, 0.3, 7) meets the pairwise
+# conditions and the degradation bound, but its new symmetry operator fails
+# to dominate state 2, so check_equiprobable must give a negative verdict
+# (it once raised ConsistencyError from the re-solve)
+EQUIPROBABLE_LEFT_OUT = [
+    (0.25, [0.3635365676813111, 0.8642994867575062, 0.3476025908263671]),
+    (0.25, [-0.7905711255738863, 0.5492416334746546, 0.2707968306072497]),
+    (0.25, [-0.616361617317075, 0.6670578943701971, 0.4184878997733128]),
+    (0.25, [0.4732900852896917, 0.04573437199029376, 0.879718626826288]),
+]
+
 
 def random_cptp_channel(rng: np.random.Generator, env_dim: int = 2) -> QubitChannel:
     """Random channel from a Haar-ish Stinespring isometry."""
@@ -195,3 +212,46 @@ def pairwise_pg_preserving(ens: Ensemble, channel: QubitChannel, tol: Tolerances
             if np.linalg.norm(g) > tol.match_tol:
                 return False
     return True
+
+
+def loop_choi_matrix(channel: QubitChannel) -> np.ndarray:
+    """Test oracle for the Choi operator: sum of ``Phi(E_ab) (x) E_ab``.
+
+    Maps each matrix unit through the channel's Bloch form one at a time,
+    so it shares nothing with the library's constant basis.
+    """
+    d, t = channel.matrix, channel.shift.astype(complex)
+    j = np.zeros((4, 4), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[a, b] = 1.0
+            alpha = np.trace(e) / 2.0
+            beta = np.array([np.trace(s @ e) / 2.0 for s in SIGMA])
+            out_beta = d @ beta + alpha * t
+            image = alpha * np.eye(2) + sum(out_beta[k] * SIGMA[k] for k in range(3))
+            j += np.kron(image, e)
+    return (j + j.conj().T) / 2.0
+
+
+def per_draw_sieve(fam, count: int, seed: int, box: float, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Test oracle for the batched sieve: one draw, member and test at a time.
+
+    Draws each coefficient vector with its own ``uniform`` call, builds the
+    member, tests the degradation window and the smallest eigenvalue of
+    ``loop_choi_matrix``, and keeps what check_omp confirms.
+    """
+    rng = np.random.default_rng(seed)
+    sys = fam.system
+    min_gap = float(np.min(sys.solution.gaps[list(sys.index_set)]))
+    kept = []
+    for _ in range(int(count)):
+        c = rng.uniform(-box, box, size=fam.dim)
+        channel, delta = unpack(fam.particular + fam.null_basis @ c)
+        if not -tol.match_tol <= delta <= min_gap + tol.match_tol:
+            continue
+        if np.linalg.eigvalsh(loop_choi_matrix(channel))[0] < -tol.psd_tol:
+            continue
+        if check_omp(sys.ensemble, channel, sys.solution, sys.index_set, tol).is_omp:
+            kept.append(SieveSample(channel, delta, c))
+    return kept

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_cptp_channel
+from helpers import loop_choi_matrix, random_cptp_channel
 from ompkit import (
     BadParameter,
     BlochOutOfBall,
@@ -21,6 +21,7 @@ from ompkit import (
     is_cptp_inequalities,
     unitary_channel,
 )
+from ompkit.channels import CPTP_TOL, choi_min_eigenvalues
 
 
 def test_identity_channel_is_identity():
@@ -184,3 +185,56 @@ def test_inequalities_agree_with_choi_when_conclusive():
         conclusive += 1
         assert fast is is_cptp_choi(ch)
     assert conclusive > 500
+
+
+def _choi_agrees_with_oracle(coords: np.ndarray) -> np.ndarray:
+    """Check the closed-form Choi operators of a stack of packed channels
+    against the loop-built oracle and the batched verdicts against
+    is_cptp_choi one channel at a time; returns the single verdicts."""
+    lows = choi_min_eigenvalues(coords)
+    assert lows.shape == (len(coords),)
+    verdicts = []
+    for row, lo in zip(coords, lows):
+        ch = QubitChannel(row[:9].reshape(3, 3), row[9:])
+        assert np.max(np.abs(choi_matrix(ch) - loop_choi_matrix(ch))) <= 1e-14
+        single = is_cptp_choi(ch)
+        assert bool(lo >= -CPTP_TOL) is (single is CptpVerdict.CPTP), (row, lo, single)
+        verdicts.append(single)
+    return np.array(verdicts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(-1.2, 1.2), min_size=12, max_size=12),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_closed_form_choi_matches_loop_oracle(rows):
+    _choi_agrees_with_oracle(np.array(rows))
+
+
+def test_closed_form_choi_at_acceptance_endpoints():
+    # one grid step either side of the exact endpoints of acceptance checks
+    # 04 ((2 - sqrt 2)/4 on the unital bb84 slice, step 2.5e-5) and 05
+    # (|t2| = sqrt(2/5) on the shifted one, step 1e-4); inside first
+    def slice_matrix(delta):
+        a = 1.0 - 4.0 * delta
+        return np.array([[a, a, 0.0], [0.0, a, 0.0], [0.0, a, a]])
+
+    lo04, step04 = (2.0 - math.sqrt(2.0)) / 4.0, 2.5e-5
+    t05, step05 = math.sqrt(2.0 / 5.0), 1e-4
+    rows = [
+        np.concatenate([slice_matrix(g).reshape(9), np.zeros(3)])
+        for g in (lo04 + step04, lo04 - step04)
+    ]
+    for t in (t05 - step05, t05 + step05, -t05 + step05, -t05 - step05):
+        rows.append(np.concatenate([slice_matrix(0.3).reshape(9), [0.0, t, 0.0]]))
+    verdicts = _choi_agrees_with_oracle(np.array(rows))
+    cp, not_cp = CptpVerdict.CPTP, CptpVerdict.NOT_CP
+    assert list(verdicts) == [cp, not_cp, cp, not_cp, cp, not_cp]
+
+
+def test_choi_stack_empty():
+    assert choi_min_eigenvalues(np.zeros((0, 12))).shape == (0,)

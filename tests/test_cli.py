@@ -167,6 +167,24 @@ def test_family_fixed_delta(tmp_path, capsys):
         assert s["delta"] == pytest.approx(0.05, abs=1e-9)
 
 
+def test_family_flags_do_not_leak_between_calls(tmp_path, capsys):
+    # the parser is built once per process; each call parses afresh
+    epath = ensemble_file(tmp_path, "bb84")
+    code, rep = run_json(capsys, ["family", epath, "--unital", "--samples", "5"])
+    assert code == 0
+    assert rep["slice"] == "unital"
+    code, rep = run_json(capsys, ["family", epath, "--samples", "5"])
+    assert code == 0
+    assert rep["slice"] == "full"
+
+
+def test_family_negative_samples_keeps_nothing(tmp_path, capsys):
+    code, rep = run_json(capsys, ["family", ensemble_file(tmp_path, "bb84"), "--samples", "-3"])
+    assert code == 0
+    assert rep["kept"] == 0
+    assert rep["samples"] == []
+
+
 def test_examples_pass_and_corrupt(tmp_path, capsys):
     code = main(["examples", "--no-timestamp"])
     out = capsys.readouterr().out

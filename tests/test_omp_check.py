@@ -26,6 +26,7 @@ from ompkit.errors import (
     WrongArity,
 )
 from ompkit.fileio import bundled_ensemble
+from ompkit.omp_construct import family_for, unpack
 from ompkit.omp_check import (
     Mode,
     check_convex_mix,
@@ -37,6 +38,7 @@ from ompkit.omp_check import (
 )
 
 from helpers import (
+    EQUIPROBABLE_LEFT_OUT,
     LEFT_OUT_STATES,
     pairwise_pg_preserving,
     random_cptp_channel,
@@ -106,6 +108,22 @@ def test_equiprobable_depolarizing():
         assert rep.is_omp
         assert rep.kappa == pytest.approx(1.0 - eta, abs=1e-10)
         assert rep.delta == pytest.approx(eta * (sol.p_guess - 1 / 6), abs=1e-10)
+
+
+def test_equiprobable_undominated_left_out_state():
+    # the closed form once tested the pairwise conditions only and raised
+    # ConsistencyError when the re-solve contradicted its positive verdict
+    ens = make_ensemble(EQUIPROBABLE_LEFT_OUT)
+    fam = family_for(ens)
+    assert fam.system.index_set == (0, 1, 3)
+    coeffs = np.random.default_rng(2).uniform(-0.3, 0.3, fam.dim)
+    channel = unpack(fam.particular + fam.null_basis @ coeffs)[0]
+    rep = check_equiprobable(ens, channel, fam.system.solution)
+    assert rep.residual <= 1e-12 and 0.0 < rep.kappa <= 1.0
+    assert not rep.is_omp
+    general = check_omp(ens, channel, fam.system.solution)
+    assert not general.is_omp
+    assert general.delta == pytest.approx(rep.delta, abs=1e-12)
 
 
 def test_equiprobable_requires_uniform_priors():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ompkit import omp_construct
 from ompkit.bloch import pinv
 from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi, unitary_channel
 from ompkit.discrimination import solve
@@ -16,7 +17,7 @@ from ompkit.errors import (
     PairSetTooSmall,
     WrongLength,
 )
-from ompkit.fileio import bundled_ensemble
+from ompkit.fileio import BUNDLED_ENSEMBLES, bundled_ensemble
 from ompkit.omp_check import check_omp
 from ompkit.omp_construct import (
     DELTA_COORD,
@@ -33,7 +34,7 @@ from ompkit.omp_construct import (
     unpack,
 )
 
-from helpers import LEFT_OUT_SIEVE, random_ensemble
+from helpers import LEFT_OUT_SIEVE, per_draw_sieve, random_ensemble
 
 
 def test_pack_unpack_round_trip():
@@ -274,6 +275,56 @@ def test_sieve_guard_states_residual():
         ConsistencyError, match=r"max residual \d\.\d{3}e-\d\d \(bound 1\.0e-08\)"
     ):
         sieve_admissible(broken, count=3)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("dim", [None, 0])
+def test_sieve_without_draws_is_empty(count, dim):
+    fam = family_for(bundled_ensemble("bb84"))
+    if dim == 0:
+        fam = dataclasses.replace(fam, null_basis=np.zeros((N_UNKNOWNS, 0)), dim=0)
+    assert sieve_admissible(fam, count=count) == []
+
+
+def test_sieve_matches_per_draw_oracle():
+    # the batched sieve must keep the same draws as the per-draw loop and
+    # report bit-identical members, on every slice and in both boxes
+    rng = np.random.default_rng(17)
+    ensembles = [bundled_ensemble(name) for name in BUNDLED_ENSEMBLES]
+    while len(ensembles) < len(BUNDLED_ENSEMBLES) + 4:
+        ens = random_ensemble(rng, int(rng.integers(2, 6)))
+        if len(solve(ens).identified) >= 2:
+            ensembles.append(ens)
+    compared = 0
+    for seed, ens in enumerate(ensembles):
+        fam = family_for(ens)
+        sol = fam.system.solution
+        min_gap = float(np.min(sol.gaps[list(sol.identified)]))
+        for sl in (fam, unital_slice(fam), delta_slice(fam, 0.4 * min_gap)):
+            for box in (0.5, 2.0):
+                got = sieve_admissible(sl, count=40, seed=seed, box=box)
+                want = per_draw_sieve(sl, 40, seed, box)
+                assert len(got) == len(want), (seed, box)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a.coeffs, b.coeffs)
+                    assert np.array_equal(a.channel.matrix, b.channel.matrix)
+                    assert np.array_equal(a.channel.shift, b.channel.shift)
+                    assert a.delta == b.delta
+                compared += len(got)
+    assert compared >= 200, compared
+
+
+def test_sieve_blocks_continue_the_stream(monkeypatch):
+    # draws screened in several blocks are those of one draw at a time
+    monkeypatch.setattr(omp_construct, "_SIEVE_BLOCK", 7)
+    fam = family_for(bundled_ensemble("three_mubs"))
+    got = sieve_admissible(fam, count=40, seed=3, box=0.5)
+    want = per_draw_sieve(fam, 40, 3, 0.5)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert a.delta == b.delta
+
 
 def test_solve_family_direct():
     sys = build_system(bundled_ensemble("three_mubs"))
