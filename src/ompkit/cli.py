@@ -247,7 +247,7 @@ def _examples_text(report: dict) -> list:
 
 def cmd_examples(args) -> int:
     tol = _tolerances(args)
-    reports = run_all(tol, golden_shift=args.corrupt_golden)
+    reports = run_all(tol)
     payload = {
         "cases": [
             {
@@ -325,9 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_examples = commands.add_parser("examples", help="replay the built-in reference "
                                      "cases against frozen goldens")
-    p_examples.add_argument("--corrupt-golden", type=float, default=0.0, metavar="SHIFT",
-                            help="testing aid: offset every frozen guessing-probability "
-                            "golden by this amount to exercise failure reporting")
     _add_common(p_examples)
     p_examples.set_defaults(func=cmd_examples)
     return parser

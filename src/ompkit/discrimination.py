@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -380,15 +380,7 @@ def _assemble(ens: Ensemble, f: float, y: np.ndarray, tol: Tolerances):
     if any(t is CaseTag.NO_MEASUREMENT for t in tags):
         # guessing is optimal; the all-zero weights mean "no measurement"
         return sol
-    return DiscriminationSolution(
-        p_guess=p_guess,
-        symmetry_op=sol.symmetry_op,
-        gaps=gaps,
-        comp_states=comp,
-        identified=identified,
-        case_tags=tags,
-        povm_weights=povm_weights(ens, sol, tol=tol),
-    )
+    return replace(sol, povm_weights=povm_weights(ens, sol, tol=tol))
 
 
 def povm_weights(

@@ -20,8 +20,6 @@ from .channels import canonical_form, QubitChannel
 from .fileio import bundled_ensemble
 from .omp_construct import OmpFamily, delta_slice, family_for, unital_slice, unpack
 
-CASE_NAMES = ("one_basis", "bb84", "three_mubs", "sic", "unequal3")
-
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
 
@@ -127,7 +125,7 @@ def _affine_fit(fam: OmpFamily, target: int, free: int) -> tuple[float, float, f
     return float(coef[0]), float(coef[1]), float(coef[2]), residual
 
 
-def _case_one_basis(tol: Tolerances, shift: float = 0.0) -> CaseReport:
+def _case_one_basis(tol: Tolerances) -> CaseReport:
     ens = bundled_ensemble("one_basis")
     sol = solve(ens, tol)
     fam = family_for(ens, sol, tol=tol)
@@ -143,7 +141,7 @@ def _case_one_basis(tol: Tolerances, shift: float = 0.0) -> CaseReport:
         )
 
     checks = (
-        _close("guessing probability is certain", sol.p_guess, 1.0 + shift, 1e-12),
+        _close("guessing probability is certain", sol.p_guess, 1.0, 1e-12),
         _allclose("projective weights", sol.povm_weights, [1.0, 1.0], 1e-12),
         _equal("family dimension", fam.dim, 10),
         _slice_pattern("third-column relations on the delta slice", sliced, relations),
@@ -151,7 +149,7 @@ def _case_one_basis(tol: Tolerances, shift: float = 0.0) -> CaseReport:
     return CaseReport("one_basis", checks)
 
 
-def _case_bb84(tol: Tolerances, shift: float = 0.0) -> CaseReport:
+def _case_bb84(tol: Tolerances) -> CaseReport:
     ens = bundled_ensemble("bb84")
     sol = solve(ens, tol)
     fam = family_for(ens, sol, tol=tol)
@@ -173,7 +171,7 @@ def _case_bb84(tol: Tolerances, shift: float = 0.0) -> CaseReport:
         [math.sqrt(2.0 - _SQ3), 1.0, math.sqrt(2.0 + _SQ3)]
     )
     checks = (
-        _close("guessing probability", sol.p_guess, 0.5 + shift, 1e-12),
+        _close("guessing probability", sol.p_guess, 0.5, 1e-12),
         _allclose("four-outcome weights", sol.povm_weights, [0.5] * 4, 1e-12),
         _allclose("pairwise difference rows", fam.system.helstrom_rows, _BB84_ROWS, 1e-12),
         _equal("family dimension", fam.dim, 7),
@@ -190,7 +188,7 @@ def _case_bb84(tol: Tolerances, shift: float = 0.0) -> CaseReport:
     return CaseReport("bb84", checks)
 
 
-def _case_three_mubs(tol: Tolerances, shift: float = 0.0) -> CaseReport:
+def _case_three_mubs(tol: Tolerances) -> CaseReport:
     ens = bundled_ensemble("three_mubs")
     sol = solve(ens, tol)
     fam = family_for(ens, sol, tol=tol)
@@ -201,7 +199,7 @@ def _case_three_mubs(tol: Tolerances, shift: float = 0.0) -> CaseReport:
         return float(np.max(np.abs(channel.matrix - want)))
 
     checks = (
-        _close("guessing probability", sol.p_guess, 1.0 / 3.0 + shift, 1e-12),
+        _close("guessing probability", sol.p_guess, 1.0 / 3.0, 1e-12),
         _allclose("six-outcome weights", sol.povm_weights, [1.0 / 3.0] * 6, 1e-9),
         _allclose("pairwise difference rows", fam.system.helstrom_rows, _MUB_ROWS, 1e-12),
         _equal("family dimension", fam.dim, 4),
@@ -210,7 +208,7 @@ def _case_three_mubs(tol: Tolerances, shift: float = 0.0) -> CaseReport:
     return CaseReport("three_mubs", checks)
 
 
-def _case_sic(tol: Tolerances, shift: float = 0.0) -> CaseReport:
+def _case_sic(tol: Tolerances) -> CaseReport:
     ens = bundled_ensemble("sic")
     sol = solve(ens, tol)
     fam = family_for(ens, sol, tol=tol)
@@ -221,7 +219,7 @@ def _case_sic(tol: Tolerances, shift: float = 0.0) -> CaseReport:
         return float(np.max(np.abs(channel.matrix - want)))
 
     checks = (
-        _close("guessing probability", sol.p_guess, 0.5 + shift, 1e-12),
+        _close("guessing probability", sol.p_guess, 0.5, 1e-12),
         _allclose("four-outcome weights", sol.povm_weights, [0.5] * 4, 1e-9),
         _allclose("pairwise difference rows", fam.system.helstrom_rows, _SIC_ROWS, 1e-12),
         _equal("family dimension", fam.dim, 4),
@@ -230,7 +228,7 @@ def _case_sic(tol: Tolerances, shift: float = 0.0) -> CaseReport:
     return CaseReport("sic", checks)
 
 
-def _case_unequal3(tol: Tolerances, shift: float = 0.0) -> CaseReport:
+def _case_unequal3(tol: Tolerances) -> CaseReport:
     ens = bundled_ensemble("unequal3")
     sol = solve(ens, tol)
     fam = family_for(ens, sol, tol=tol)
@@ -249,7 +247,7 @@ def _case_unequal3(tol: Tolerances, shift: float = 0.0) -> CaseReport:
         )
 
     checks = (
-        _close("guessing probability", sol.p_guess, _UNEQUAL_P_GUESS + shift, 1e-12),
+        _close("guessing probability", sol.p_guess, _UNEQUAL_P_GUESS, 1e-12),
         _allclose("pairwise difference rows", fam.system.helstrom_rows, _UNEQUAL_ROWS, 1e-12),
         _allclose("complementary axes", axes, _UNEQUAL_AXES, 1e-3),
         _equal("family dimension", fam.dim, 7),
@@ -267,17 +265,6 @@ _CASES = {
 }
 
 
-def run_case(name: str, tol: Tolerances = DEFAULT_TOL, golden_shift: float = 0.0) -> CaseReport:
-    """Run one gallery case by name.
-
-    ``golden_shift`` offsets the frozen guessing-probability goldens; it
-    exists so the failure-reporting path can be exercised on demand.
-    """
-    if name not in _CASES:
-        raise KeyError(f"no gallery case named {name!r}; choose from {CASE_NAMES}")
-    return _CASES[name](tol, golden_shift)
-
-
-def run_all(tol: Tolerances = DEFAULT_TOL, golden_shift: float = 0.0) -> tuple[CaseReport, ...]:
+def run_all(tol: Tolerances = DEFAULT_TOL) -> tuple[CaseReport, ...]:
     """Run every gallery case in a fixed order."""
-    return tuple(_CASES[name](tol, golden_shift) for name in CASE_NAMES)
+    return tuple(case(tol) for case in _CASES.values())

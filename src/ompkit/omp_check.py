@@ -4,9 +4,11 @@ A channel preserves an optimal measurement exactly when one scalar, the
 guessing degradation, simultaneously closes every pairwise linear condition
 relating the channel to the measurement's complementary states, and the new
 symmetry operator still dominates every state the measurement leaves out.
-check_omp evaluates the pairwise conditions as the linear system that
-omp_construct solves for the family, fits the scalar by least squares, and
-decides from the residuals, the gap bound and dominance.  The equiprobable
+check_omp takes the measurement and its pairwise conditions from
+omp_construct's ``build_system``, the linear system solved for the family,
+fits the scalar by least squares, and decides from the residuals, the gap
+bound and dominance; the family's sieve reaches the same verdict on the
+family's own system.  The equiprobable
 and two-state checks are closed forms of the pairwise conditions.  Every
 positive verdict is cross-validated by one routine that re-solves the
 transformed ensemble, so a positive answer is always backed by two
@@ -26,7 +28,6 @@ from .discrimination import (
     CaseTag,
     DiscriminationSolution,
     povm_value,
-    povm_weights,
     solve,
     solve_two_state,
 )
@@ -42,7 +43,7 @@ from .errors import (
     PairSetTooSmall,
     WrongArity,
 )
-from .omp_construct import build_system, pack
+from .omp_construct import OmpSystem, build_system, pack
 
 
 class Mode(enum.Enum):
@@ -153,46 +154,13 @@ def _dominates_left_out(ens, sol, index_set, mapped, delta, tol) -> bool:
     return bool(np.all(low >= -tol.psd_tol))
 
 
-def check_omp(
-    ens: Ensemble,
-    channel: QubitChannel,
-    sol: DiscriminationSolution | None = None,
-    index_set=None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> OmpReport:
-    """Decide whether ``channel`` preserves an optimal measurement of ``ens``.
+def _verdict(system: OmpSystem, channel: QubitChannel, tol: Tolerances) -> OmpReport:
+    """check_omp's verdict on a validated measurement, ``channel`` CPTP.
 
-    With the default ``index_set`` the maximal identified set is used
-    (strong check); passing a subset tests preservation of that particular
-    measurement after validating it is a complete optimal measurement.
-    The pairwise conditions are the family's, ``build_system`` evaluated at
-    the channel with zero degradation: one residual per state paired with
-    the smallest index, the other pairs following by linearity, and the
-    degradation fitted by least squares.  They make
-    ``K' = q_a N(rho_a) + (r_a - delta) sigma_a`` the candidate symmetry
-    operator of the transformed ensemble; the verdict is positive only if
-    ``K'`` also dominates every weighted state left out of the index set.
-
-    A positive verdict is cross-validated: the transformed ensemble is
-    re-solved and both the degradation identity and the optimality of the
-    preserved measurement must hold, else ConsistencyError.
+    The system's blocks hold one Bloch component each; with delta zero in
+    the packed channel the product is the left-hand side of every pair.
     """
-    _require_cptp(channel, tol)
-    if sol is None:
-        sol = solve(ens, tol)
-    if index_set is None:
-        index_set = sol.identified
-    index_set = tuple(index_set)
-    if len(index_set) < 2:
-        raise PairSetTooSmall(
-            f"need at least two identified states, got {len(index_set)}"
-        )
-    mode = Mode.STRONG if set(index_set) == set(sol.identified) else Mode.WEAK
-    # validates membership and completeness of the chosen measurement
-    weights = povm_weights(ens, sol, index_set, tol)
-    system = build_system(ens, sol, index_set, tol)
-    # the system's blocks hold one Bloch component each; with delta zero in
-    # the packed channel the product is the left-hand side of every pair
+    ens, sol, index_set = system.ensemble, system.solution, system.index_set
     x = pack(channel, 0.0) - system.identity_vec
     lhs = (system.coeff_matrix @ x).reshape(3, -1).T
     axes = system.comp_diffs
@@ -205,17 +173,48 @@ def check_omp(
     dominated = _dominates_left_out(ens, sol, index_set, after_ens.blochs, delta, tol)
     is_omp = bool(np.max(residuals) <= tol.match_tol) and r_bound_ok and dominated
     if is_omp:
-        _cross_validate(sol, after_ens, after_sol, delta, tol, weights)
+        _cross_validate(sol, after_ens, after_sol, delta, tol, system.weights)
     return OmpReport(
         is_omp=is_omp,
         delta=delta,
         residuals=residuals,
         r_bound_ok=r_bound_ok,
         index_set=index_set,
-        mode=mode,
+        mode=Mode.STRONG if set(index_set) == set(sol.identified) else Mode.WEAK,
         p_guess_before=sol.p_guess,
         p_guess_after=after_sol.p_guess,
     )
+
+
+def check_omp(
+    ens: Ensemble,
+    channel: QubitChannel,
+    sol: DiscriminationSolution | None = None,
+    index_set=None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> OmpReport:
+    """Decide whether ``channel`` preserves an optimal measurement of ``ens``.
+
+    With the default ``index_set`` the maximal identified set is used
+    (strong check); passing a subset tests preservation of that particular
+    measurement.  ``build_system`` validates the index set, as it does for
+    family_for, and raises for a set that is no complete optimal
+    measurement.  The pairwise conditions are the family's, the system
+    evaluated at the channel with zero degradation: one residual per state
+    paired with the smallest index, the other pairs following by
+    linearity, and the degradation fitted by least squares.  They make
+    ``K' = q_a N(rho_a) + (r_a - delta) sigma_a`` the candidate symmetry
+    operator of the transformed ensemble; the verdict is positive only if
+    ``K'`` also dominates every weighted state left out of the index set.
+
+    A positive verdict is cross-validated: the transformed ensemble is
+    re-solved and both the degradation identity and the optimality of the
+    preserved measurement must hold, else ConsistencyError.
+    """
+    _require_cptp(channel, tol)
+    if sol is None:
+        sol = solve(ens, tol)
+    return _verdict(build_system(ens, sol, index_set, tol), channel, tol)
 
 
 def check_equiprobable(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bloch import DEFAULT_TOL, Tolerances, nullspace, pinv
 from .channels import QubitChannel, choi_min_eigenvalues
-from .discrimination import DiscriminationSolution, solve
+from .discrimination import DiscriminationSolution, povm_weights, solve
 from .ensembles import Ensemble
 from .errors import (
     ConsistencyError,
@@ -38,18 +38,22 @@ _SIEVE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class OmpSystem:
-    """Stacked linear preservation conditions for one measurement.
+    """One optimal measurement of an ensemble and its preservation conditions.
 
-    ``helstrom_rows[j]`` is the weighted Bloch difference of the anchor
-    state against the j-th other identified state, ``prior_diffs[j]`` the
-    prior difference, and ``comp_diffs[j]`` the complementary-axis
-    difference.  ``coeff_matrix`` is their 3(m-1) x 13 assembly and
-    ``identity_vec`` packs the identity channel, which is always a solution.
+    ``index_set`` names the measured states and ``weights`` the
+    completeness weights of the measurement, so a system exists only for a
+    complete optimal measurement.  ``helstrom_rows[j]`` is the weighted
+    Bloch difference of the anchor state against the j-th other identified
+    state, ``prior_diffs[j]`` the prior difference, and ``comp_diffs[j]``
+    the complementary-axis difference.  ``coeff_matrix`` is their
+    3(m-1) x 13 assembly and ``identity_vec`` packs the identity channel,
+    which is always a solution.
     """
 
     ensemble: Ensemble
     solution: DiscriminationSolution
     index_set: tuple
+    weights: np.ndarray
     helstrom_rows: np.ndarray
     prior_diffs: np.ndarray
     comp_diffs: np.ndarray
@@ -97,8 +101,15 @@ def build_system(
     index_set=None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> OmpSystem:
-    """Assemble the preservation conditions for a measurement on ``ens``.
+    """Validate a measurement on ``ens`` and assemble its conditions.
 
+    ``index_set`` defaults to every identified state.  It must name at
+    least two states (PairSetTooSmall), all identified
+    (MissingComplementaryState), that complete a measurement without
+    repeats (InfeasibleCompleteness from ``povm_weights``); the weights are
+    the solution's own when the set is its identified set and it measures.
+    This is the one validation of an index set for check_omp, family_for
+    and the sieve.
     The anchor is the smallest index in the set; rows for all other pairs
     are linear combinations of the anchored ones, so nothing is lost.
     """
@@ -114,6 +125,11 @@ def build_system(
     unknown = set(index_set).difference(sol.identified)
     if unknown:
         raise MissingComplementaryState(f"state {min(unknown)} is not identified")
+    if index_set == sol.identified and np.any(sol.povm_weights):
+        # the solver already completed this measurement
+        weights = sol.povm_weights
+    else:
+        weights = povm_weights(ens, sol, index_set, tol)
     idx = np.array(index_set)
     short = np.linalg.norm(sol.comp_states[idx], axis=1) < 0.5
     if np.any(short):
@@ -138,6 +154,7 @@ def build_system(
         ensemble=ens,
         solution=sol,
         index_set=index_set,
+        weights=weights,
         helstrom_rows=rows,
         prior_diffs=dq,
         comp_diffs=sdiff,
@@ -220,19 +237,21 @@ def sieve_admissible(
 
     Coefficients are drawn uniformly from ``[-box, box]^dim``; a member is
     kept when its degradation lies in ``[0, min gap]`` up to tolerance, its
-    Choi operator is positive, and check_omp confirms it.  A member that
-    meets the pairwise conditions but whose new symmetry operator fails to
-    dominate a state left out of the measurement is dropped: the family
-    holds the pairwise conditions only.  A member that fails the pairwise
-    conditions or the degradation bound in check_omp raises
-    ConsistencyError, since that is an assembly bug.
+    Choi operator is positive, and check_omp's verdict on the family's own
+    system confirms it, so the index set, its weights and the linear
+    system are those of the family, not derived again per member.  A
+    member that meets the pairwise conditions but whose new symmetry
+    operator fails to dominate a state left out of the measurement is
+    dropped: the family holds the pairwise conditions only.  A member that
+    fails the pairwise conditions or the degradation bound of the verdict
+    raises ConsistencyError, since that is an assembly bug.
 
     The draws are screened in blocks of ``_SIEVE_BLOCK``: one product builds
     every member of a block and one batched eigensolve tests their Choi
     operators.  Successive blocks continue the generator's stream, so the
     draws are those of one ``uniform`` call per member.
     """
-    from .omp_check import check_omp
+    from .omp_check import _require_cptp, _verdict
 
     rng = np.random.default_rng(seed)
     sys = fam.system
@@ -251,7 +270,8 @@ def sieve_admissible(
             # this one in the last bits, and the reported D, t and delta
             # come from this expression
             channel, delta = unpack(fam.particular + fam.null_basis @ c)
-            report = check_omp(sys.ensemble, channel, sys.solution, sys.index_set, tol)
+            _require_cptp(channel, tol)
+            report = _verdict(sys, channel, tol)
             worst = float(np.max(report.residuals))
             if worst > tol.match_tol or not report.r_bound_ok:
                 raise ConsistencyError(

@@ -52,6 +52,20 @@ LEFT_OUT_SIEVE = [
     (0.03969344237885781, [-0.026321147468607708, -0.8059231098299015, -0.5914348131772734]),
 ]
 
+# States 0, 1 and 2 identified; state 3 is not, so it has no
+# complementary axis and no measurement may name it
+UNIDENTIFIED_FOURTH = [
+    (0.45, (0, 0, 1)),
+    (0.30, (0.95, 0, 0)),
+    (0.20, (-0.7, 0.6, 0)),
+    (0.05, (0.05, 0.05, 0)),
+]
+
+# Three copies of one pure state, priors (0.5, 0.25, 0.25): guessing state
+# 0 is optimal, and states 1 and 2 count as identified with one and the
+# same complementary axis, so together they complete no measurement
+NO_MEASUREMENT_COPIES = [(0.5, (0, 0, 1)), (0.25, (0, 0, 1)), (0.25, (0, 0, 1))]
+
 # Equal priors, states 0, 1 and 3 identified: the family member with
 # coefficients default_rng(2).uniform(-0.3, 0.3, 7) meets the pairwise
 # conditions and the degradation bound, but its new symmetry operator fails

@@ -6,9 +6,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from ompkit import gallery
 from ompkit.cli import main
 
-from helpers import LEFT_OUT_SIEVE, LEFT_OUT_STATES
+from helpers import (
+    LEFT_OUT_SIEVE,
+    LEFT_OUT_STATES,
+    NO_MEASUREMENT_COPIES,
+    UNIDENTIFIED_FOURTH,
+)
 
 
 def ensemble_file(tmp_path, name):
@@ -21,6 +27,12 @@ def ensemble_file(tmp_path, name):
 def channel_file(tmp_path, doc, name="channel.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def states_file(tmp_path, states, name):
+    path = tmp_path / name
+    path.write_text(json.dumps({"states": [{"q": q, "bloch": v} for q, v in states]}))
     return str(path)
 
 
@@ -95,24 +107,37 @@ def test_check_depolarizing(tmp_path, capsys):
 
 def test_check_undominated_left_out_state_exit_1(tmp_path, capsys):
     # a negative verdict, once a solver error (exit 4)
-    epath = tmp_path / "left_out.json"
-    states = [{"q": q, "bloch": v} for q, v in LEFT_OUT_STATES]
-    epath.write_text(json.dumps({"states": states}))
+    epath = states_file(tmp_path, LEFT_OUT_STATES, "left_out.json")
     cpath = channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.1})
-    code, rep = run_json(capsys, ["check", str(epath), cpath])
+    code, rep = run_json(capsys, ["check", epath, cpath])
     assert code == 1
     assert rep["is_omp"] is False
 
 
 def test_family_undominated_member_exit_0(tmp_path, capsys):
     # the sieve drops the undominated member, once a solver error (exit 4)
-    epath = tmp_path / "left_out_sieve.json"
-    states = [{"q": q, "bloch": v} for q, v in LEFT_OUT_SIEVE]
-    epath.write_text(json.dumps({"states": states}))
-    argv = ["family", str(epath), "--samples", "24", "--seed", "0", "--box", "0.5"]
+    epath = states_file(tmp_path, LEFT_OUT_SIEVE, "left_out_sieve.json")
+    argv = ["family", epath, "--samples", "24", "--seed", "0", "--box", "0.5"]
     code, rep = run_json(capsys, argv)
     assert code == 0
     assert rep["kept"] == 1
+
+
+@pytest.mark.parametrize("box", ["2.0", "0.5"])
+def test_family_without_measurement_exit_3(tmp_path, capsys, box):
+    # once exit 0 with nothing kept at box 2.0, and exit 3 only once a
+    # draw reached check_omp at box 0.5
+    epath = states_file(tmp_path, NO_MEASUREMENT_COPIES, "copies.json")
+    assert main(["family", epath, "--box", box, "--no-timestamp"]) == 3
+    assert "invariant violation" in capsys.readouterr().err
+
+
+def test_check_weak_unidentified_state_exit_3(tmp_path, capsys):
+    epath = states_file(tmp_path, UNIDENTIFIED_FOURTH, "fourth.json")
+    cpath = channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.0})
+    assert main(["check", epath, cpath, "--weak", "0,1,3"]) == 3
+    assert "state 3 is not identified" in capsys.readouterr().err
+
 
 def test_check_rotation_strong_vs_weak(tmp_path, capsys):
     epath = ensemble_file(tmp_path, "bb84")
@@ -185,12 +210,13 @@ def test_family_negative_samples_keeps_nothing(tmp_path, capsys):
     assert rep["samples"] == []
 
 
-def test_examples_pass_and_corrupt(tmp_path, capsys):
+def test_examples_pass_and_corrupt(tmp_path, capsys, monkeypatch):
     code = main(["examples", "--no-timestamp"])
     out = capsys.readouterr().out
     assert code == 0
     assert "5/5 PASS" in out
-    code = main(["examples", "--no-timestamp", "--corrupt-golden", "1e-3"])
+    monkeypatch.setattr(gallery, "_UNEQUAL_P_GUESS", gallery._UNEQUAL_P_GUESS + 1e-3)
+    code = main(["examples", "--no-timestamp"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out

@@ -19,6 +19,7 @@ from ompkit.errors import (
     BadParameter,
     ConsistencyError,
     DominatedState,
+    MissingComplementaryState,
     NotEquiprobable,
     NotOmpInput,
     NotUnitary,
@@ -40,6 +41,7 @@ from ompkit.omp_check import (
 from helpers import (
     EQUIPROBABLE_LEFT_OUT,
     LEFT_OUT_STATES,
+    UNIDENTIFIED_FOURTH,
     pairwise_pg_preserving,
     random_cptp_channel,
     random_ensemble,
@@ -98,6 +100,17 @@ def test_pair_set_too_small():
     ens = bundled_ensemble("bb84")
     with pytest.raises(PairSetTooSmall):
         check_omp(ens, identity_channel(), index_set=(0,))
+
+
+def test_unidentified_weak_state_matches_family():
+    # check_omp once raised InfeasibleCompleteness here, family_for
+    # MissingComplementaryState; both now validate through build_system
+    ens = make_ensemble(UNIDENTIFIED_FOURTH)
+    with pytest.raises(MissingComplementaryState) as fam_err:
+        family_for(ens, index_set=(0, 1, 3))
+    with pytest.raises(MissingComplementaryState) as check_err:
+        check_omp(ens, identity_channel(), index_set=(0, 1, 3))
+    assert str(check_err.value) == str(fam_err.value)
 
 
 def test_equiprobable_depolarizing():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ompkit import omp_construct
+from ompkit import omp_check, omp_construct
 from ompkit.bloch import pinv
 from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi, unitary_channel
 from ompkit.discrimination import solve
@@ -13,6 +13,7 @@ from ompkit.ensembles import make_ensemble
 from ompkit.errors import (
     ConsistencyError,
     DeltaUnreachable,
+    InfeasibleCompleteness,
     MissingComplementaryState,
     PairSetTooSmall,
     WrongLength,
@@ -34,7 +35,7 @@ from ompkit.omp_construct import (
     unpack,
 )
 
-from helpers import LEFT_OUT_SIEVE, per_draw_sieve, random_ensemble
+from helpers import LEFT_OUT_SIEVE, UNIDENTIFIED_FOURTH, per_draw_sieve, random_ensemble
 
 
 def test_pack_unpack_round_trip():
@@ -203,15 +204,13 @@ def test_build_system_guards():
     ens = bundled_ensemble("bb84")
     with pytest.raises(PairSetTooSmall):
         build_system(ens, index_set=(0,))
+    # a non-antipodal pair and a repeat complete no measurement; the family
+    # of such a set was once built, with ten free coefficients
+    for index_set in ((0, 2), (0, 0, 1)):
+        with pytest.raises(InfeasibleCompleteness):
+            family_for(ens, index_set=index_set)
     # a state the solver never identifies has no complementary axis
-    mixed = make_ensemble(
-        [
-            (0.45, (0, 0, 1)),
-            (0.30, (0.95, 0, 0)),
-            (0.20, (-0.7, 0.6, 0)),
-            (0.05, (0.05, 0.05, 0)),
-        ]
-    )
+    mixed = make_ensemble(UNIDENTIFIED_FOURTH)
     sol = solve(mixed)
     assert 3 not in sol.identified
     with pytest.raises(MissingComplementaryState):
@@ -240,6 +239,28 @@ def test_sieve_soundness_and_determinism():
     assert any(
         not np.array_equal(a.coeffs, b.coeffs) for a, b in zip(kept, other)
     )
+
+
+def test_sieve_reuses_the_family_measurement(monkeypatch):
+    # the index set, its weights and the linear system are the family's;
+    # only the per-member verdict, with its re-solve, runs per survivor
+    fam = family_for(bundled_ensemble("three_mubs"))
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (omp_check, omp_construct):
+        for name in ("build_system", "povm_weights"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    kept = sieve_admissible(fam, count=100, seed=9, box=1.0)
+    assert len(kept) >= 3
+    assert calls == []
 
 
 def test_sieve_respects_degradation_window():
