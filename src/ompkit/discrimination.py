@@ -14,13 +14,20 @@ from __future__ import annotations
 
 import enum
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bloch import DEFAULT_TOL, Herm2, Tolerances
 from .ensembles import Ensemble
-from .errors import ConvergenceFailure, InfeasibleCompleteness, WrongArity, WrongLength
+from .errors import (
+    ConvergenceFailure,
+    IndexOutOfRange,
+    InfeasibleCompleteness,
+    WrongArity,
+    WrongLength,
+)
 
 # Certification thresholds of a basis.  They gate acceptance of a candidate
 # optimum, not the quality of the answer itself, which is set by the linear
@@ -347,37 +354,70 @@ def _min_norm_weights(axes: np.ndarray, tol: Tolerances) -> np.ndarray:
     return w
 
 
-def _assemble(ens: Ensemble, f: float, y: np.ndarray, tol: Tolerances):
-    cen, off = _centers(ens)
+# CaseTag by the codes _assemble computes
+_TAGS = np.array(
+    [CaseTag.PROJECTIVE_ELEMENT, CaseTag.NEVER_IDENTIFIED, CaseTag.NO_MEASUREMENT],
+    dtype=object,
+)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row, through the same dot kernel as the
+    1-D product, so each entry equals its per-row product bit for bit."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(s: np.ndarray) -> np.ndarray:
+    """``comp_axis`` of every row of ``s``: scaled to unit length, a zero
+    row left zero."""
+    norms = np.sqrt(_row_dots(s, s))
+    return s / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def _index_array(ens: Ensemble, index_set) -> np.ndarray:
+    """``index_set`` as an integer array; IndexOutOfRange, naming the first
+    entry that is not an integer in ``[0, n)``, before anything is indexed
+    with it (numpy would wrap a negative index and truncate a float)."""
+    idx = np.asarray(index_set)
+    if idx.size and idx.dtype.kind not in "biu":
+        bad = next(x for x in index_set if not isinstance(x, numbers.Integral))
+        raise IndexOutOfRange(f"state index {bad!r} is not an integer")
+    idx = idx.astype(np.intp, copy=False)
+    out = (idx < 0) | (idx >= ens.n)
+    if out.any():
+        raise IndexOutOfRange(f"state index {int(idx[out][0])} not in [0, {ens.n})")
+    return idx
+
+
+def _assemble(ens: Ensemble, cen, off, f: float, y: np.ndarray, tol: Tolerances):
+    """The solution at the dual optimum ``Herm2(f, y)``.
+
+    ``cen, off`` are the solver's ``_centers(ens)``.  All states are
+    labelled at once: a gap at or below ``psd_tol`` is NO_MEASUREMENT with a
+    zero complementary state, otherwise the state is PROJECTIVE_ELEMENT when
+    the smallest eigenvalue of its gap operator is at or below ``psd_tol``
+    and NEVER_IDENTIFIED above.  The weights are the least-norm completion
+    of the identified states, or all zero when a NO_MEASUREMENT state makes
+    blind guessing optimal.
+    """
     p_guess = 2.0 * float(f)
     gaps = p_guess - ens.priors
     # lo[x] is the smallest eigenvalue of the dual gap operator of state x
     lo = (f - off) - np.linalg.norm(cen - y, axis=1)
-    comp = np.zeros((ens.n, 3))
-    tags = []
-    for x in range(ens.n):
-        if gaps[x] <= tol.psd_tol:
-            tags.append(CaseTag.NO_MEASUREMENT)
-            continue
-        comp[x] = 2.0 * (y - cen[x]) / gaps[x]
-        if lo[x] <= tol.psd_tol:
-            tags.append(CaseTag.PROJECTIVE_ELEMENT)
-        else:
-            tags.append(CaseTag.NEVER_IDENTIFIED)
-    tags = tuple(tags)
-    identified = tuple(
-        x for x in range(ens.n) if tags[x] is CaseTag.PROJECTIVE_ELEMENT
-    )
+    blind = gaps <= tol.psd_tol
+    safe = np.where(blind, 1.0, gaps)
+    comp = np.where(blind[:, None], 0.0, 2.0 * (y - cen) / safe[:, None])
+    code = np.where(blind, 2, lo > tol.psd_tol)
     sol = DiscriminationSolution(
         p_guess=p_guess,
         symmetry_op=Herm2(f, y),
         gaps=gaps,
         comp_states=comp,
-        identified=identified,
-        case_tags=tags,
+        identified=tuple(np.flatnonzero(code == 0).tolist()),
+        case_tags=tuple(_TAGS[code].tolist()),
         povm_weights=np.zeros(ens.n),
     )
-    if any(t is CaseTag.NO_MEASUREMENT for t in tags):
+    if blind.any():
         # guessing is optimal; the all-zero weights mean "no measurement"
         return sol
     return replace(sol, povm_weights=povm_weights(ens, sol, tol=tol))
@@ -399,28 +439,35 @@ def povm_weights(
     minimum Euclidean norm, found by the finite active-set method of
     ``_min_norm_weights`` for any number k of identified states: one 4 x k
     pseudo-inverse when the optimum uses every state, otherwise at most
-    ``8 k + 32`` pivots of that size per loop.  Raises
-    InfeasibleCompleteness when the chosen support admits no measurement,
-    e.g. non-antipodal two-element supports, or names a state twice.
+    ``8 k + 32`` pivots of that size per loop.  The index set is validated
+    and its complementary axes gathered as arrays, with no loop over its
+    states.  Raises IndexOutOfRange for an entry that is not an integer in
+    ``[0, n)``, and InfeasibleCompleteness when the chosen support admits
+    no measurement, e.g. non-antipodal two-element supports, names a state
+    twice or names an unidentified one.
     """
     if index_set is None:
-        index_set = sol.identified
-    index_set = tuple(index_set)
-    if not index_set:
+        # the solver's own set: in range, distinct and identified
+        idx = np.array(sol.identified, dtype=np.intp)
+    else:
+        idx = _index_array(ens, tuple(index_set))
+        order = np.sort(idx)
+        twice = order[1:][order[1:] == order[:-1]]
+        if twice.size:
+            raise InfeasibleCompleteness(
+                f"index set names states {np.unique(twice).tolist()} more than once"
+            )
+        measured = np.zeros(ens.n, dtype=bool)
+        measured[list(sol.identified)] = True
+        bad = idx[~measured[idx]]
+        if bad.size:
+            raise InfeasibleCompleteness(
+                f"states {bad.tolist()} are not identified by this solution"
+            )
+    if not idx.size:
         raise InfeasibleCompleteness("empty index set")
-    repeated = sorted({x for x in index_set if index_set.count(x) > 1})
-    if repeated:
-        raise InfeasibleCompleteness(
-            f"index set names states {repeated} more than once"
-        )
-    bad = [x for x in index_set if x not in sol.identified]
-    if bad:
-        raise InfeasibleCompleteness(
-            f"states {bad} are not identified by this solution"
-        )
-    axes = np.array([sol.comp_axis(x) for x in index_set])
     weights = np.zeros(ens.n)
-    weights[list(index_set)] = _min_norm_weights(axes, tol)
+    weights[idx] = _min_norm_weights(_unit_rows(sol.comp_states[idx]), tol)
     return weights
 
 
@@ -446,7 +493,7 @@ def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminatio
         vals = off + np.linalg.norm(cen - y, axis=1)
         j = int(np.argmax(vals))
         if vals[j] <= f + _FEAS_SLACK:
-            return _assemble(ens, f, y, tol)
+            return _assemble(ens, cen, off, f, y, tol)
         hit = None if pivots == limit else _pivot(basis, j, cen, off)
         if hit is None:
             break
@@ -471,10 +518,10 @@ def solve_two_state(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminat
     gap = float(np.linalg.norm(diff))
     if gap <= abs(off[0] - off[1]) + 1e-15:
         x = 0 if off[0] >= off[1] else 1
-        return _assemble(ens, float(off[x]), cen[x], tol)
+        return _assemble(ens, cen, off, float(off[x]), cen[x], tol)
     f = 0.5 * (gap + off[0] + off[1])
     y = cen[0] + (f - off[0]) * (diff / gap)
-    return _assemble(ens, f, y, tol)
+    return _assemble(ens, cen, off, f, y, tol)
 
 
 def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
@@ -490,23 +537,19 @@ def povm_value(ens: Ensemble, sol: DiscriminationSolution, weights=None) -> floa
 
     ``weights`` defaults to the weights stored in the solution.  At an
     optimum the result equals ``p_guess`` to machine precision, which makes
-    it a strong-duality certificate.  In the guessing-only case (all weights
-    zero) the value is the prior of the guessed state.
+    it a strong-duality certificate.  The value is one sum over the nonzero
+    weights of ``q_x w_x (1 - u_x . v_x) / 2``, with ``u_x`` the unit
+    complementary axis.  In the guessing-only case (all weights zero) it is
+    the prior of the first NO_MEASUREMENT state.
     """
     if weights is None:
         weights = sol.povm_weights
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (ens.n,):
         raise WrongLength(f"expected {ens.n} weights, got shape {weights.shape}")
-    if not np.any(weights):
-        for x, tag in enumerate(sol.case_tags):
-            if tag is CaseTag.NO_MEASUREMENT:
-                return float(ens.priors[x])
-    total = 0.0
-    for x in range(ens.n):
-        w = weights[x]
-        if w == 0.0:
-            continue
-        total += ens.priors[x] * w * 0.5 * (1.0 - sol.comp_axis(x) @ ens.blochs[x])
-    return float(total)
-
+    nz = np.flatnonzero(weights)
+    if not nz.size and CaseTag.NO_MEASUREMENT in sol.case_tags:
+        return float(ens.priors[sol.case_tags.index(CaseTag.NO_MEASUREMENT)])
+    axes = _unit_rows(sol.comp_states[nz])
+    terms = ens.priors[nz] * weights[nz] * 0.5 * (1.0 - _row_dots(axes, ens.blochs[nz]))
+    return float(terms.sum())

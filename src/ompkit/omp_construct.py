@@ -17,7 +17,7 @@ import numpy as np
 
 from .bloch import DEFAULT_TOL, Tolerances, nullspace, pinv
 from .channels import QubitChannel, choi_min_eigenvalues
-from .discrimination import DiscriminationSolution, povm_weights, solve
+from .discrimination import DiscriminationSolution, _index_array, povm_weights, solve
 from .ensembles import Ensemble
 from .errors import (
     ConsistencyError,
@@ -104,10 +104,11 @@ def build_system(
     """Validate a measurement on ``ens`` and assemble its conditions.
 
     ``index_set`` defaults to every identified state.  It must name at
-    least two states (PairSetTooSmall), all identified
-    (MissingComplementaryState), that complete a measurement without
-    repeats (InfeasibleCompleteness from ``povm_weights``); the weights are
-    the solution's own when the set is its identified set and it measures.
+    least two states of ``[0, n)`` (PairSetTooSmall, IndexOutOfRange), all
+    identified (MissingComplementaryState), that complete a measurement
+    without repeats (InfeasibleCompleteness from ``povm_weights``); the
+    weights are the solution's own when the set is its identified set and
+    it measures.
     This is the one validation of an index set for check_omp, family_for
     and the sieve.
     The anchor is the smallest index in the set; rows for all other pairs
@@ -118,6 +119,7 @@ def build_system(
     if index_set is None:
         index_set = sol.identified
     index_set = tuple(index_set)
+    idx = _index_array(ens, index_set)
     if len(index_set) < 2:
         raise PairSetTooSmall(
             f"need at least two identified states, got {len(index_set)}"
@@ -130,7 +132,6 @@ def build_system(
         weights = sol.povm_weights
     else:
         weights = povm_weights(ens, sol, index_set, tol)
-    idx = np.array(index_set)
     short = np.linalg.norm(sol.comp_states[idx], axis=1) < 0.5
     if np.any(short):
         raise MissingComplementaryState(

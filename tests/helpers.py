@@ -8,7 +8,8 @@ support, and over every active subset of up to four states.  The guessing
 probability has a primal lower bound from random measurements, and exact
 guessing-probability preservation a test of every state pair.  The Choi
 operator has a loop-built oracle from the images of the matrix units, and
-the batched sieve a per-draw one.
+the batched sieve a per-draw one.  The labelling of the states at the dual
+optimum and the value of a measurement have one-state-at-a-time loops.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import numpy as np
 
 from ompkit import Ensemble, QubitChannel, make_ensemble
 from ompkit.bloch import DEFAULT_TOL, Tolerances
-from ompkit.discrimination import _centers, _certify_subset
+from ompkit.discrimination import CaseTag, _centers, _certify_subset
 from ompkit.errors import ConvergenceFailure, InfeasibleCompleteness
 from ompkit.omp_check import check_omp
 from ompkit.omp_construct import SieveSample, unpack
@@ -269,3 +270,43 @@ def per_draw_sieve(fam, count: int, seed: int, box: float, tol: Tolerances = DEF
         if check_omp(sys.ensemble, channel, sys.solution, sys.index_set, tol).is_omp:
             kept.append(SieveSample(channel, delta, c))
     return kept
+
+
+def loop_assemble(ens: Ensemble, f: float, y: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """Test oracle for the labelling at the dual optimum ``Herm2(f, y)``.
+
+    Labels one state at a time and returns ``(gaps, comp_states, case_tags,
+    identified)`` as the solver's assembly defines them.
+    """
+    cen, off = _centers(ens)
+    gaps = 2.0 * float(f) - ens.priors
+    lo = (f - off) - np.linalg.norm(cen - y, axis=1)
+    comp = np.zeros((ens.n, 3))
+    tags = []
+    for x in range(ens.n):
+        if gaps[x] <= tol.psd_tol:
+            tags.append(CaseTag.NO_MEASUREMENT)
+            continue
+        comp[x] = 2.0 * (y - cen[x]) / gaps[x]
+        if lo[x] <= tol.psd_tol:
+            tags.append(CaseTag.PROJECTIVE_ELEMENT)
+        else:
+            tags.append(CaseTag.NEVER_IDENTIFIED)
+    identified = tuple(x for x in range(ens.n) if tags[x] is CaseTag.PROJECTIVE_ELEMENT)
+    return gaps, comp, tuple(tags), identified
+
+
+def loop_povm_value(ens: Ensemble, sol, weights=None) -> float:
+    """Test oracle for ``povm_value``: one state's success term at a time."""
+    weights = sol.povm_weights if weights is None else np.asarray(weights, dtype=float)
+    if not np.any(weights):
+        for x, tag in enumerate(sol.case_tags):
+            if tag is CaseTag.NO_MEASUREMENT:
+                return float(ens.priors[x])
+    total = 0.0
+    for x in range(ens.n):
+        w = weights[x]
+        if w == 0.0:
+            continue
+        total += ens.priors[x] * w * 0.5 * (1.0 - sol.comp_axis(x) @ ens.blochs[x])
+    return float(total)

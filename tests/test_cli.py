@@ -8,12 +8,15 @@ import pytest
 
 from ompkit import gallery
 from ompkit.cli import main
+from ompkit.discrimination import solve
+from ompkit.fileio import load_ensemble
 
 from helpers import (
     LEFT_OUT_SIEVE,
     LEFT_OUT_STATES,
     NO_MEASUREMENT_COPIES,
     UNIDENTIFIED_FOURTH,
+    random_ensemble,
 )
 
 
@@ -137,6 +140,40 @@ def test_check_weak_unidentified_state_exit_3(tmp_path, capsys):
     cpath = channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.0})
     assert main(["check", epath, cpath, "--weak", "0,1,3"]) == 3
     assert "state 3 is not identified" in capsys.readouterr().err
+
+
+def test_check_weak_out_of_range_index_exit_3(tmp_path, capsys):
+    epath = ensemble_file(tmp_path, "bb84")
+    cpath = channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.1})
+    assert main(["check", epath, cpath, "--weak", "0,9"]) == 3
+    assert "state index 9 not in [0, 4)" in capsys.readouterr().err
+
+
+def test_solve_measurement_out_of_range_index_exit_3(tmp_path, capsys):
+    epath = ensemble_file(tmp_path, "bb84")
+    assert main(["solve", epath, "--measurement", "0,9"]) == 3
+    assert "state index 9 not in [0, 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "states",
+    [UNIDENTIFIED_FOURTH, NO_MEASUREMENT_COPIES, "bb84", "sic", "random"],
+)
+def test_solve_json_identified_are_plain_ints(tmp_path, capsys, states):
+    # the solver's identified states and tags reach json.dumps as is
+    if states == "random":
+        ens = random_ensemble(np.random.default_rng(4), 300)
+        states = list(zip(ens.priors.tolist(), ens.blochs.tolist()))
+    path = (
+        ensemble_file(tmp_path, states)
+        if isinstance(states, str)
+        else states_file(tmp_path, states, "states.json")
+    )
+    code, rep = run_json(capsys, ["solve", path])
+    assert code == 0
+    sol = solve(load_ensemble(path))
+    assert rep["identified"] == list(sol.identified)
+    assert rep["case_tags"] == [tag.value for tag in sol.case_tags]
 
 
 def test_check_rotation_strong_vs_weak(tmp_path, capsys):

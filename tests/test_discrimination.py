@@ -10,6 +10,7 @@ from ompkit.bloch import Tolerances, eigen2
 from ompkit.discrimination import (
     CaseTag,
     _assemble,
+    _centers,
     _min_norm_weights,
     povm_value,
     povm_weights,
@@ -20,6 +21,7 @@ from ompkit.discrimination import (
 from ompkit.ensembles import helstrom, make_ensemble
 from ompkit.errors import (
     ConvergenceFailure,
+    IndexOutOfRange,
     InfeasibleCompleteness,
     WrongArity,
     WrongLength,
@@ -29,6 +31,8 @@ from ompkit.fileio import bundled_ensemble
 from helpers import (
     enumerated_enclosing_ball,
     enumerated_min_norm_weights,
+    loop_assemble,
+    loop_povm_value,
     oracle_random_search,
     random_ensemble,
 )
@@ -101,6 +105,17 @@ def test_dominant_state_blind_guessing():
     assert sol.identified == ()
     assert np.allclose(sol.povm_weights, 0.0)
     assert povm_value(ens, sol) == pytest.approx(0.9, abs=1e-12)
+
+
+def test_blind_guess_value_is_first_no_measurement_prior():
+    # two maximally mixed states whose priors differ by 2e-10 < psd_tol:
+    # both are NO_MEASUREMENT, and the value is the prior of the first
+    ens = make_ensemble([(0.5 + 1e-10, (0, 0, 0)), (0.5 - 1e-10, (0, 0, 0))])
+    sol = solve(ens)
+    assert sol.case_tags == (CaseTag.NO_MEASUREMENT,) * 2
+    assert ens.priors[0] != ens.priors[1]
+    assert povm_value(ens, sol) == ens.priors[0]
+    assert povm_value(ens, sol) == loop_povm_value(ens, sol)
 
 
 def _assert_kkt(ens, sol, tol=1e-10):
@@ -235,6 +250,26 @@ def test_odd_regular_polygons(k):
     th = 2.0 * np.pi * np.arange(k) / k
     ens = make_ensemble([(1.0 / k, [np.cos(t), np.sin(t), 0.0]) for t in th])
     assert solve(ens).p_guess == pytest.approx(2.0 / k, abs=1e-12)
+
+
+def test_ten_thousand_states_certify():
+    ens = random_ensemble(np.random.default_rng(10), 10_000)
+    sol = solve(ens)
+    _assert_kkt(ens, sol)
+    assert abs(povm_value(ens, sol) - sol.p_guess) <= 1e-12
+
+
+def test_out_of_range_measurement_index_rejected():
+    ens = bundled_ensemble("bb84")
+    sol = solve(ens)
+    for index_set in ((0, 9), (0, -1), (1, -3)):
+        with pytest.raises(IndexOutOfRange) as err:
+            povm_weights(ens, sol, index_set)
+        assert f"{index_set[1]} not in [0, 4)" in str(err.value)
+    # numpy would truncate these to a valid index
+    for index_set in ((0, 1.5), (0, 1.0), ("0", 1)):
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            povm_weights(ens, sol, index_set)
 
 
 def test_thousand_states_with_many_near_active():
@@ -395,7 +430,56 @@ def test_enclosing_ball_matches_enumeration(ens):
         with pytest.raises(ConvergenceFailure):
             solve_general(ens)
         return
-    want = _assemble(ens, *ball, TOL)
+    want = _assemble(ens, *_centers(ens), *ball, TOL)
     got = solve_general(ens)
     assert abs(got.p_guess - want.p_guess) <= 1e-12
     assert got.identified == want.identified
+
+
+def _assert_matches_loop(ens, sol):
+    gaps, comp, tags, identified = loop_assemble(
+        ens, sol.symmetry_op.alpha, sol.symmetry_op.beta, TOL
+    )
+    assert sol.gaps.tobytes() == gaps.tobytes()
+    assert sol.comp_states.tobytes() == comp.tobytes()
+    assert sol.case_tags == tags
+    assert sol.identified == identified
+    # cli.cmd_solve hands these to json.dumps
+    assert all(type(x) is int for x in sol.identified)
+    assert all(isinstance(t, CaseTag) for t in sol.case_tags)
+    assert abs(povm_value(ens, sol) - loop_povm_value(ens, sol)) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_ensembles())
+def test_assembly_matches_loop_on_degenerate_ensembles(ens):
+    try:
+        sol = solve(ens)
+    except ConvergenceFailure:
+        # the tiny-prior certification gap, covered by the enumeration test
+        return
+    _assert_matches_loop(ens, sol)
+
+
+@st.composite
+def large_ensembles(draw):
+    """Up to 2,000 states: random, one dominant prior, or one maximally
+    mixed member."""
+    kind = draw(st.sampled_from(["random", "dominant_prior", "mixed_member"]))
+    n = draw(st.integers(2, 2000))
+    ens = random_ensemble(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    priors, blochs = ens.priors.copy(), ens.blochs.copy()
+    if kind == "dominant_prior":
+        # the ball of a prior-0.9 state of Bloch norm 0.5 holds every other
+        # ball, so guessing it is optimal
+        priors = np.concatenate([[0.9], 0.1 * priors[1:] / priors[1:].sum()])
+        blochs[0] *= 0.5 / np.linalg.norm(blochs[0])
+    elif kind == "mixed_member":
+        blochs[0] = 0.0
+    return make_ensemble(list(zip(priors, blochs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_ensembles())
+def test_assembly_matches_loop_on_large_ensembles(ens):
+    _assert_matches_loop(ens, solve(ens))

@@ -19,6 +19,7 @@ from ompkit.errors import (
     BadParameter,
     ConsistencyError,
     DominatedState,
+    IndexOutOfRange,
     MissingComplementaryState,
     NotEquiprobable,
     NotOmpInput,
@@ -111,6 +112,16 @@ def test_unidentified_weak_state_matches_family():
     with pytest.raises(MissingComplementaryState) as check_err:
         check_omp(ens, identity_channel(), index_set=(0, 1, 3))
     assert str(check_err.value) == str(fam_err.value)
+
+
+def test_out_of_range_weak_index_rejected():
+    # once reported as "state 9 is not identified": numpy wraps a negative
+    # index, and an index past n is no state at all
+    ens = bundled_ensemble("bb84")
+    for index_set in ((0, 9), (0, -1), (1, -3)):
+        with pytest.raises(IndexOutOfRange) as err:
+            check_omp(ens, depolarizing_channel(0.1), index_set=index_set)
+        assert str(err.value) == f"state index {index_set[1]} not in [0, 4)"
 
 
 def test_equiprobable_depolarizing():

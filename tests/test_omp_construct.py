@@ -13,6 +13,7 @@ from ompkit.ensembles import make_ensemble
 from ompkit.errors import (
     ConsistencyError,
     DeltaUnreachable,
+    IndexOutOfRange,
     InfeasibleCompleteness,
     MissingComplementaryState,
     PairSetTooSmall,
@@ -215,6 +216,10 @@ def test_build_system_guards():
     assert 3 not in sol.identified
     with pytest.raises(MissingComplementaryState):
         build_system(mixed, sol, index_set=(0, 1, 3))
+    # an index outside [0, n) is no state at all
+    for index_set in ((0, 9), (0, -1), (1, -3)):
+        with pytest.raises(IndexOutOfRange):
+            build_system(ens, index_set=index_set)
 
 
 def test_sieve_soundness_and_determinism():
