@@ -111,35 +111,36 @@ def trace_norm(a: Herm2) -> float:
     return abs(a.alpha + r) + abs(a.alpha - r)
 
 
+def _rank(s: np.ndarray, tol: Tolerances) -> int:
+    """Number of singular values ``s`` (sorted descending) above ``rank_tol``
+    times the largest, 0 for an empty or all-zero spectrum: the one rank
+    rule of :func:`pinv`, :func:`nullspace` and :func:`matrix_rank`."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol.rank_tol * s[0]))
+
+
 def pinv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a rank cutoff relative to ``sigma_max``."""
+    """Moore-Penrose pseudoinverse over the singular values :func:`_rank` keeps."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    rank = _rank(s, tol)
+    if rank == 0:
         return np.zeros((m.shape[1], m.shape[0]))
-    inv = np.where(s > tol.rank_tol * s[0], 1.0 / np.where(s == 0, 1.0, s), 0.0)
+    inv = np.zeros_like(s)
+    inv[:rank] = 1.0 / s[:rank]
     return (vt.T * inv) @ u.T
 
 
 def nullspace(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the right nullspace, returned as columns.
-
-    Rank is the number of singular values above ``rank_tol * sigma_max``; the
-    returned array has shape ``(n_cols, n_cols - rank)``.
-    """
+    """Orthonormal basis of the right nullspace as columns, shape
+    ``(n_cols, n_cols - rank)`` with the rank of :func:`_rank`."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     _, s, vt = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.rank_tol * s[0]))
-    return vt[rank:].T.copy()
+    return vt[_rank(s, tol):].T.copy()
 
 
 def matrix_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank under the same relative cutoff as :func:`nullspace`."""
+    """Rank under the same rule as :func:`pinv` and :func:`nullspace`."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+    return _rank(np.linalg.svd(m, compute_uv=False), tol)

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bloch import DEFAULT_TOL, Herm2, Tolerances
-from .ensembles import Ensemble
+from .ensembles import Ensemble, _index_array
 from .errors import (
     ConvergenceFailure,
-    IndexOutOfRange,
     InfeasibleCompleteness,
     WrongArity,
     WrongLength,
@@ -372,21 +370,6 @@ def _unit_rows(s: np.ndarray) -> np.ndarray:
     row left zero."""
     norms = np.sqrt(_row_dots(s, s))
     return s / np.where(norms > 0.0, norms, 1.0)[:, None]
-
-
-def _index_array(ens: Ensemble, index_set) -> np.ndarray:
-    """``index_set`` as an integer array; IndexOutOfRange, naming the first
-    entry that is not an integer in ``[0, n)``, before anything is indexed
-    with it (numpy would wrap a negative index and truncate a float)."""
-    idx = np.asarray(index_set)
-    if idx.size and idx.dtype.kind not in "biu":
-        bad = next(x for x in index_set if not isinstance(x, numbers.Integral))
-        raise IndexOutOfRange(f"state index {bad!r} is not an integer")
-    idx = idx.astype(np.intp, copy=False)
-    out = (idx < 0) | (idx >= ens.n)
-    if out.any():
-        raise IndexOutOfRange(f"state index {int(idx[out][0])} not in [0, {ens.n})")
-    return idx
 
 
 def _assemble(ens: Ensemble, cen, off, f: float, y: np.ndarray, tol: Tolerances):

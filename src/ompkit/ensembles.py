@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +78,30 @@ def make_ensemble(states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     return Ensemble(priors, blochs)
 
 
+def _index_array(ens: Ensemble, index_set) -> np.ndarray:
+    """``index_set`` as an integer array, the one validation of state
+    indices: IndexOutOfRange, naming the first entry that is not an integer
+    in ``[0, n)``, before anything is indexed with it (numpy would wrap a
+    negative index and truncate a float)."""
+    idx = np.asarray(index_set)
+    if idx.size and idx.dtype.kind not in "biu":
+        bad = next(x for x in index_set if not isinstance(x, numbers.Integral))
+        raise IndexOutOfRange(f"state index {bad!r} is not an integer")
+    idx = idx.astype(np.intp, copy=False)
+    out = (idx < 0) | (idx >= ens.n)
+    if out.any():
+        raise IndexOutOfRange(f"state index {int(idx[out][0])} not in [0, {ens.n})")
+    return idx
+
+
 def reduce_unidentified(ens: Ensemble, drop: int, tol: Tolerances = DEFAULT_TOL):
     """Remove one state and renormalize the remaining priors.
 
     Returns ``(reduced, r)`` where ``r = 1 - q_drop`` is the retained weight;
     guessing probabilities of the reduced problem rescale by ``r``.
+    ``drop`` must be an integer in ``[0, n)`` (IndexOutOfRange).
     """
-    if not 0 <= drop < ens.n:
-        raise IndexOutOfRange(f"state index {drop} not in [0, {ens.n})")
+    _index_array(ens, (drop,))
     if ens.n - 1 < 2:
         raise TooFewStates("cannot reduce a two-state ensemble further")
     keep = [x for x in range(ens.n) if x != drop]
@@ -96,10 +113,9 @@ def reduce_unidentified(ens: Ensemble, drop: int, tol: Tolerances = DEFAULT_TOL)
 
 
 def helstrom(ens: Ensemble, x: int, y: int) -> HelstromPair:
-    """Pair operator ``q_x rho_x - q_y rho_y`` in Bloch form."""
-    for idx in (x, y):
-        if not 0 <= idx < ens.n:
-            raise IndexOutOfRange(f"state index {idx} not in [0, {ens.n})")
+    """Pair operator ``q_x rho_x - q_y rho_y`` in Bloch form; ``x`` and ``y``
+    must be integers in ``[0, n)`` (IndexOutOfRange)."""
+    _index_array(ens, (x, y))
     vec = ens.priors[x] * ens.blochs[x] - ens.priors[y] * ens.blochs[y]
     op = Herm2((ens.priors[x] - ens.priors[y]) / 2.0, vec / 2.0)
     return HelstromPair(x, y, op, vec)

@@ -1,6 +1,6 @@
 """Worked reference cases with frozen expected values.
 
-Each case loads one of the bundled ensembles, solves it, builds the
+Each case takes one of the bundled ensembles, its solution and its
 measurement-preserving channel family, and compares a handful of derived
 quantities against values frozen here.  The CLI ``examples`` subcommand
 runs all of them and reports one pass/fail line per case, which doubles
@@ -125,10 +125,7 @@ def _affine_fit(fam: OmpFamily, target: int, free: int) -> tuple[float, float, f
     return float(coef[0]), float(coef[1]), float(coef[2]), residual
 
 
-def _case_one_basis(tol: Tolerances) -> CaseReport:
-    ens = bundled_ensemble("one_basis")
-    sol = solve(ens, tol)
-    fam = family_for(ens, sol, tol=tol)
+def _case_one_basis(ens, sol, fam: OmpFamily, tol: Tolerances) -> tuple:
     gap = ens.priors[0] - ens.priors[1]
     sliced = delta_slice(fam, 0.1, tol)
 
@@ -146,14 +143,10 @@ def _case_one_basis(tol: Tolerances) -> CaseReport:
         _equal("family dimension", fam.dim, 10),
         _slice_pattern("third-column relations on the delta slice", sliced, relations),
     )
-    return CaseReport("one_basis", checks)
+    return checks
 
 
-def _case_bb84(tol: Tolerances) -> CaseReport:
-    ens = bundled_ensemble("bb84")
-    sol = solve(ens, tol)
-    fam = family_for(ens, sol, tol=tol)
-
+def _case_bb84(ens, sol, fam: OmpFamily, tol: Tolerances) -> tuple:
     def pattern(channel: QubitChannel, delta: float) -> float:
         d = channel.matrix
         fixed = 1.0 - 4.0 * delta
@@ -185,13 +178,10 @@ def _case_bb84(tol: Tolerances) -> CaseReport:
             1e-9,
         ),
     )
-    return CaseReport("bb84", checks)
+    return checks
 
 
-def _case_three_mubs(tol: Tolerances) -> CaseReport:
-    ens = bundled_ensemble("three_mubs")
-    sol = solve(ens, tol)
-    fam = family_for(ens, sol, tol=tol)
+def _case_three_mubs(ens, sol, fam: OmpFamily, tol: Tolerances) -> tuple:
     unital = unital_slice(fam, tol)
 
     def isotropic(channel: QubitChannel, delta: float) -> float:
@@ -205,13 +195,10 @@ def _case_three_mubs(tol: Tolerances) -> CaseReport:
         _equal("family dimension", fam.dim, 4),
         _slice_pattern("unital members are isotropic", unital, isotropic),
     )
-    return CaseReport("three_mubs", checks)
+    return checks
 
 
-def _case_sic(tol: Tolerances) -> CaseReport:
-    ens = bundled_ensemble("sic")
-    sol = solve(ens, tol)
-    fam = family_for(ens, sol, tol=tol)
+def _case_sic(ens, sol, fam: OmpFamily, tol: Tolerances) -> tuple:
     unital = unital_slice(fam, tol)
 
     def isotropic(channel: QubitChannel, delta: float) -> float:
@@ -225,13 +212,10 @@ def _case_sic(tol: Tolerances) -> CaseReport:
         _equal("family dimension", fam.dim, 4),
         _slice_pattern("unital members are isotropic", unital, isotropic),
     )
-    return CaseReport("sic", checks)
+    return checks
 
 
-def _case_unequal3(tol: Tolerances) -> CaseReport:
-    ens = bundled_ensemble("unequal3")
-    sol = solve(ens, tol)
-    fam = family_for(ens, sol, tol=tol)
+def _case_unequal3(ens, sol, fam: OmpFamily, tol: Tolerances) -> tuple:
     axes = np.array([sol.comp_axis(x) for x in range(3)])
 
     coef_checks = []
@@ -253,7 +237,7 @@ def _case_unequal3(tol: Tolerances) -> CaseReport:
         _equal("family dimension", fam.dim, 7),
         *coef_checks,
     )
-    return CaseReport("unequal3", checks)
+    return checks
 
 
 _CASES = {
@@ -266,5 +250,12 @@ _CASES = {
 
 
 def run_all(tol: Tolerances = DEFAULT_TOL) -> tuple[CaseReport, ...]:
-    """Run every gallery case in a fixed order."""
-    return tuple(case(tol) for case in _CASES.values())
+    """Run every gallery case in a fixed order, each on the bundled ensemble
+    of its name, that ensemble's solution and its channel family."""
+    reports = []
+    for name, case in _CASES.items():
+        ens = bundled_ensemble(name)
+        sol = solve(ens, tol)
+        fam = family_for(ens, sol, tol=tol)
+        reports.append(CaseReport(name, case(ens, sol, fam, tol)))
+    return tuple(reports)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .bloch import DEFAULT_TOL, Tolerances, nullspace, pinv
 from .channels import QubitChannel, choi_min_eigenvalues
-from .discrimination import DiscriminationSolution, _index_array, povm_weights, solve
-from .ensembles import Ensemble
+from .discrimination import DiscriminationSolution, povm_weights, solve
+from .ensembles import Ensemble, _index_array
 from .errors import (
     ConsistencyError,
     DeltaUnreachable,
@@ -247,12 +247,15 @@ def sieve_admissible(
     fails the pairwise conditions or the degradation bound of the verdict
     raises ConsistencyError, since that is an assembly bug.
 
-    The draws are screened in blocks of ``_SIEVE_BLOCK``: one product builds
-    every member of a block and one batched eigensolve tests their Choi
-    operators.  Successive blocks continue the generator's stream, so the
-    draws are those of one ``uniform`` call per member.
+    The draws are screened in blocks of ``_SIEVE_BLOCK``: one stack of
+    matrix-vector products, as in ``discrimination._row_dots``, builds every
+    member of a block, each bit for bit the per-draw ``particular +
+    null_basis @ c``, and one batched eigensolve, the only Choi test of a
+    member, tests them; the sieve reports exactly the members it screened.
+    Successive blocks continue the generator's stream, so the draws are
+    those of one ``uniform`` call per member.
     """
-    from .omp_check import _require_cptp, _verdict
+    from .omp_check import _verdict
 
     rng = np.random.default_rng(seed)
     sys = fam.system
@@ -262,16 +265,12 @@ def sieve_admissible(
     while left > 0:
         coeffs = rng.uniform(-box, box, size=(min(left, _SIEVE_BLOCK), fam.dim))
         left -= len(coeffs)
-        members = fam.particular + coeffs @ fam.null_basis.T
+        members = fam.particular + (fam.null_basis @ coeffs[:, :, None])[:, :, 0]
         deltas = members[:, DELTA_COORD]
         ok = (-tol.match_tol <= deltas) & (deltas <= min_gap + tol.match_tol)
         ok[ok] = choi_min_eigenvalues(members[ok, :DELTA_COORD]) >= -tol.psd_tol
-        for c in coeffs[ok]:
-            # rebuilt member by member: the batched product may differ from
-            # this one in the last bits, and the reported D, t and delta
-            # come from this expression
-            channel, delta = unpack(fam.particular + fam.null_basis @ c)
-            _require_cptp(channel, tol)
+        for x, c in zip(members[ok], coeffs[ok]):
+            channel, delta = unpack(x)
             report = _verdict(sys, channel, tol)
             worst = float(np.max(report.residuals))
             if worst > tol.match_tol or not report.r_bound_ok:

@@ -259,6 +259,26 @@ def test_ten_thousand_states_certify():
     assert abs(povm_value(ens, sol) - sol.p_guess) <= 1e-12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleCompleteness,
+    reason="ROADMAP item 1: tiny-prior pair, least residual 1.113e-08 > match_tol",
+)
+def test_tiny_prior_pair_solves():
+    # the dominant state's gap sits just above psd_tol and its complementary
+    # axis comes from a cancelling difference, so no completeness weights
+    # pass match_tol; a valid two-state ensemble must solve all the same
+    ens = make_ensemble(
+        [
+            (1e-8, np.array([-3.0, 2.0, -2.0]) / np.sqrt(17.0)),
+            (1.0 - 1e-8, np.array([1.0, -3.0, -4.0]) / np.sqrt(26.0)),
+        ]
+    )
+    sol = solve(ens)
+    _assert_kkt(ens, sol)
+    assert abs(povm_value(ens, sol) - sol.p_guess) <= 1e-12
+
+
 def test_out_of_range_measurement_index_rejected():
     ens = bundled_ensemble("bb84")
     sol = solve(ens)

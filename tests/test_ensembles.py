@@ -84,12 +84,21 @@ def test_helstrom_index_bounds():
     ens = bundled_ensemble("bb84")
     with pytest.raises(IndexOutOfRange):
         helstrom(ens, 0, 4)
+    with pytest.raises(IndexOutOfRange, match=r"state index -1 not in \[0, 4\)"):
+        helstrom(ens, 0, -1)
+    # numpy would truncate 1.5 and reject "0" with a bare error
+    for x, y in ((1.5, 0), ("0", 1)):
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            helstrom(ens, x, y)
 
 
 def test_reduce_validates():
     ens = bundled_ensemble("bb84")
     with pytest.raises(IndexOutOfRange):
         reduce_unidentified(ens, 9)
+    # 1.5 once dropped no state and returned the whole ensemble
+    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+        reduce_unidentified(ens, 1.5)
     pair = bundled_ensemble("one_basis")
     with pytest.raises(TooFewStates):
         reduce_unidentified(pair, 0)

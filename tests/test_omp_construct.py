@@ -1,12 +1,13 @@
 """The linear family of measurement-preserving channels and its sieve."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
-from ompkit import omp_check, omp_construct
-from ompkit.bloch import pinv
+from ompkit import channels, omp_check, omp_construct
+from ompkit.bloch import Tolerances, pinv
 from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi, unitary_channel
 from ompkit.discrimination import solve
 from ompkit.ensembles import make_ensemble
@@ -350,6 +351,62 @@ def test_sieve_blocks_continue_the_stream(monkeypatch):
     for a, b in zip(got, want):
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.delta == b.delta
+
+
+def test_sieve_tests_choi_once_per_block(monkeypatch):
+    # the batched eigensolve is the only Choi test of a member: one call per
+    # block, none per survivor
+    monkeypatch.setattr(omp_construct, "_SIEVE_BLOCK", 16)
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (channels, omp_construct):
+        monkeypatch.setattr(
+            module, "choi_min_eigenvalues", counted(module.choi_min_eigenvalues)
+        )
+    for module in (channels, omp_check):
+        monkeypatch.setattr(module, "is_cptp_choi", counted(module.is_cptp_choi))
+    kept = sieve_admissible(
+        family_for(bundled_ensemble("three_mubs")), count=100, seed=3, box=0.5
+    )
+    assert len(kept) >= 3
+    assert calls == ["choi_min_eigenvalues"] * 7
+
+
+@pytest.mark.parametrize("dim", range(14))
+def test_sieve_members_are_the_per_draw_products(monkeypatch, dim):
+    # every draw passes (a window of 1e300, a positive Choi test, a positive
+    # verdict), so the sieve reports each member it built; each must equal
+    # the per-draw particular + null_basis @ c bit for bit
+    rng = np.random.default_rng(dim)
+    fam = dataclasses.replace(
+        family_for(bundled_ensemble("bb84")),
+        particular=rng.normal(size=N_UNKNOWNS),
+        null_basis=rng.normal(size=(N_UNKNOWNS, dim)),
+        dim=dim,
+    )
+    report = types.SimpleNamespace(
+        residuals=np.zeros(1), r_bound_ok=True, is_omp=True, delta=0.0
+    )
+    monkeypatch.setattr(omp_check, "_verdict", lambda *args: report)
+    monkeypatch.setattr(
+        omp_construct, "choi_min_eigenvalues", lambda coords: np.zeros(len(coords))
+    )
+    tol = Tolerances(match_tol=1e300)
+    kept = sieve_admissible(fam, count=500, seed=dim, box=2.0, tol=tol)
+    assert len(kept) == 500
+    for s in kept:
+        got = pack(s.channel, s.delta)
+        assert np.array_equal(got, fam.particular + fam.null_basis @ s.coeffs)
+        if dim == 0:
+            # an empty product adds zeros: every member is the particular one
+            assert np.array_equal(got, fam.particular)
 
 
 def test_solve_family_direct():
