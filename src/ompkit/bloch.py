@@ -39,7 +39,8 @@ class Tolerances:
     match_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.psd_tol, self.rank_tol, self.match_tol) <= 0:
+        # NaN compares false, so it is refused too
+        if not all(t > 0 for t in (self.psd_tol, self.rank_tol, self.match_tol)):
             raise ValueError("tolerances must be strictly positive")
 
 

@@ -19,6 +19,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,6 +57,23 @@ def _indices(text: str) -> tuple:
     if not values:
         raise argparse.ArgumentTypeError("index list is empty")
     return values
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
 
 
 def _tolerances(args) -> Tolerances:
@@ -267,11 +285,11 @@ def cmd_examples(args) -> int:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL.match_tol,
+    sub.add_argument("--tol", type=_positive, default=DEFAULT_TOL.match_tol,
                      help="residual tolerance for equality of operator expressions")
-    sub.add_argument("--psd-tol", type=float, default=DEFAULT_TOL.psd_tol,
+    sub.add_argument("--psd-tol", type=_positive, default=DEFAULT_TOL.psd_tol,
                      help="eigenvalue tolerance for positivity decisions")
-    sub.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol,
+    sub.add_argument("--rank-tol", type=_positive, default=DEFAULT_TOL.rank_tol,
                      help="relative singular-value cutoff for rank decisions")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
     sub.add_argument("--output", help="write the report to a file instead of stdout")
@@ -314,11 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="number of sieve draws (default 1000)")
     p_family.add_argument("--seed", type=int, default=None,
                           help="RNG seed (default: OMPKIT_SEED env var, else 0)")
-    p_family.add_argument("--box", type=float, default=2.0,
+    p_family.add_argument("--box", type=_finite, default=2.0,
                           help="half-width of the coefficient sampling box (default 2)")
     p_family.add_argument("--unital", action="store_true",
                           help="restrict to channels with zero shift")
-    p_family.add_argument("--fixed-delta", type=float, default=None, metavar="D",
+    p_family.add_argument("--fixed-delta", type=_finite, default=None, metavar="D",
                           help="restrict to members with this degradation")
     _add_common(p_family)
     p_family.set_defaults(func=cmd_family)

@@ -8,9 +8,9 @@ check_omp takes the measurement and its pairwise conditions from
 omp_construct's ``build_system``, the linear system solved for the family,
 fits the scalar by least squares, and decides from the residuals, the gap
 bound and dominance; the family's sieve reaches the same verdict on the
-family's own system.  The equiprobable
-and two-state checks are closed forms of the pairwise conditions.  Every
-positive verdict is cross-validated by one routine that re-solves the
+family's own system, and the equiprobable and two-state checks read it as
+a contraction ratio and a scale, with a positive ratio for equal priors.
+Every positive verdict is cross-validated by one routine that re-solves the
 transformed ensemble, so a positive answer is always backed by two
 independent computations.
 """
@@ -40,7 +40,6 @@ from .errors import (
     NotEquiprobable,
     NotOmpInput,
     NotUnitary,
-    PairSetTooSmall,
     WrongArity,
 )
 from .omp_construct import OmpSystem, build_system, pack
@@ -109,12 +108,12 @@ def _resolve_mapped(ens: Ensemble, channel: QubitChannel, tol: Tolerances):
     return after_ens, solve(after_ens, tol)
 
 
-def _cross_validate(sol, after_ens, after_sol, delta, tol, weights=None) -> None:
+def _cross_validate(sol, after_ens, after_sol, delta, tol, weights) -> None:
     """Confirm a positive verdict against the re-solved transformed ensemble.
 
-    The optimum must drop by exactly ``delta``; given ``weights``, the
-    preserved measurement must also attain the new optimum.  Either margin
-    above ``10 match_tol`` raises ConsistencyError.
+    The optimum must drop by exactly ``delta``, and the preserved
+    measurement, with completeness ``weights``, must attain the new optimum.
+    Either margin above ``10 match_tol`` raises ConsistencyError.
     """
     bound = 10.0 * tol.match_tol
     drop = sol.p_guess - after_sol.p_guess
@@ -124,15 +123,14 @@ def _cross_validate(sol, after_ens, after_sol, delta, tol, weights=None) -> None
             f"degradation {delta:.3e} disagrees with re-solved drop "
             f"{drop:.3e}: margin {miss:.3e} exceeds {bound:.1e}"
         )
-    if weights is not None:
-        value = povm_value(after_ens, sol, weights)
-        miss = abs(value - after_sol.p_guess)
-        if miss > bound:
-            raise ConsistencyError(
-                "preserved measurement is not optimal for the transformed "
-                f"ensemble: {value:.12g} vs {after_sol.p_guess:.12g}: margin "
-                f"{miss:.3e} exceeds {bound:.1e}"
-            )
+    value = povm_value(after_ens, sol, weights)
+    miss = abs(value - after_sol.p_guess)
+    if miss > bound:
+        raise ConsistencyError(
+            "preserved measurement is not optimal for the transformed "
+            f"ensemble: {value:.12g} vs {after_sol.p_guess:.12g}: margin "
+            f"{miss:.3e} exceeds {bound:.1e}"
+        )
 
 
 def _dominates_left_out(ens, sol, index_set, mapped, delta, tol) -> bool:
@@ -154,19 +152,25 @@ def _dominates_left_out(ens, sol, index_set, mapped, delta, tol) -> bool:
     return bool(np.all(low >= -tol.psd_tol))
 
 
-def _verdict(system: OmpSystem, channel: QubitChannel, tol: Tolerances) -> OmpReport:
-    """check_omp's verdict on a validated measurement, ``channel`` CPTP.
+def _fit_degradation(system: OmpSystem, channel: QubitChannel):
+    """The degradation that best closes the system's pairwise conditions at
+    ``channel``, by least squares, and each pair's residual.
 
     The system's blocks hold one Bloch component each; with delta zero in
     the packed channel the product is the left-hand side of every pair.
     """
-    ens, sol, index_set = system.ensemble, system.solution, system.index_set
     x = pack(channel, 0.0) - system.identity_vec
     lhs = (system.coeff_matrix @ x).reshape(3, -1).T
     axes = system.comp_diffs
     denom = float(np.sum(axes * axes))
     delta = float(np.sum(lhs * axes) / denom) if denom > 1e-18 else 0.0
-    residuals = np.linalg.norm(lhs - delta * axes, axis=1)
+    return delta, np.linalg.norm(lhs - delta * axes, axis=1)
+
+
+def _verdict(system: OmpSystem, channel: QubitChannel, tol: Tolerances) -> OmpReport:
+    """check_omp's verdict on a validated measurement, ``channel`` CPTP."""
+    ens, sol, index_set = system.ensemble, system.solution, system.index_set
+    delta, residuals = _fit_degradation(system, channel)
     min_gap = float(np.min(sol.gaps[list(index_set)]))
     r_bound_ok = -tol.match_tol <= delta <= min_gap + tol.match_tol
     after_ens, after_sol = _resolve_mapped(ens, channel, tol)
@@ -223,39 +227,25 @@ def check_equiprobable(
     sol: DiscriminationSolution | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> EquiprobableReport:
-    """Uniform-prior preservation test.
+    """Uniform-prior preservation test, read off check_omp's verdict.
 
-    For equal priors the pairwise conditions collapse to one scalar: every
-    identified difference vector must be an eigenvector of the channel
-    matrix with a common ratio in (0, 1].  The shift drops out of them.
-    The degradation is the lost fraction of the common gap,
-    ``(1 - kappa) * (p_guess - 1/n)``.  As in check_omp, the new symmetry
-    operator must also dominate every state left out of the measurement,
-    and the shift does enter that test.
+    For equal priors each pairwise condition makes the state difference
+    ``d`` an eigenvector, ``D d = kappa d``, with one ratio for all pairs;
+    the shift drops out.  The degradation is ``(1 - kappa) * (p_guess -
+    1/n)`` and ``residual`` the largest ``|D d - kappa d|``.  The verdict is
+    check_omp's plus ``kappa > 0``, tested first, so a channel that
+    collapses the differences is refused without a re-solve.
     """
     _require_cptp(channel, tol)
     if np.ptp(ens.priors) > tol.match_tol:
         raise NotEquiprobable(f"priors range over {np.ptp(ens.priors):.3g}")
     if sol is None:
         sol = solve(ens, tol)
-    if len(sol.identified) < 2:
-        raise PairSetTooSmall("need at least two identified states")
-    ident = np.array(sol.identified)
-    a1 = ident.min()
-    diffs = ens.blochs[a1] - ens.blochs[ident[ident != a1]]
-    mapped = diffs @ channel.matrix.T
-    kappa = float(np.sum(mapped * diffs) / np.sum(diffs * diffs))
-    residual = float(np.max(np.linalg.norm(mapped - kappa * diffs, axis=1)))
-    delta = (1.0 - kappa) * (sol.p_guess - 1.0 / ens.n)
-    images = ens.blochs @ channel.matrix.T + channel.shift
-    is_omp = (
-        residual <= tol.match_tol
-        and 0.0 < kappa <= 1.0 + tol.match_tol
-        and _dominates_left_out(ens, sol, sol.identified, images, delta, tol)
-    )
-    if is_omp:
-        _cross_validate(sol, *_resolve_mapped(ens, channel, tol), delta, tol)
-    return EquiprobableReport(is_omp, kappa, delta, residual)
+    system = build_system(ens, sol, tol=tol)
+    delta, residuals = _fit_degradation(system, channel)
+    kappa = 1.0 - delta / (sol.p_guess - 1.0 / ens.n)
+    is_omp = kappa > 0.0 and _verdict(system, channel, tol).is_omp
+    return EquiprobableReport(is_omp, kappa, delta, ens.n * float(np.max(residuals)))
 
 
 def check_two_state(
@@ -263,11 +253,12 @@ def check_two_state(
     channel: QubitChannel,
     tol: Tolerances = DEFAULT_TOL,
 ) -> TwoStateReport:
-    """Two-state preservation test via the pair operator.
+    """Two-state preservation test, read off check_omp's verdict.
 
-    Fits the scale factor on the weighted Bloch difference; the identity
-    offset is fixed by trace preservation rather than fitted.  Preservation
-    requires the scale to lie in ``[(2 q_max - 1)/(2 p_guess - 1), 1]``.
+    The pair condition maps the weighted Bloch difference ``h`` to ``scale *
+    h``, ``scale = 1 - delta / (p_guess - 1/2)`` as ``|h| = 2 p_guess - 1``;
+    the identity offset follows from trace preservation.  The degradation
+    window is the scale window ``[(2 q_max - 1)/(2 p_guess - 1), 1]``.
     """
     if ens.n != 2:
         raise WrongArity(f"two-state check got {ens.n} states")
@@ -275,20 +266,12 @@ def check_two_state(
     sol = solve_two_state(ens, tol)
     if any(t is CaseTag.NO_MEASUREMENT for t in sol.case_tags):
         raise DominatedState("guessing is optimal; no measurement to preserve")
-    hvec = ens.priors[0] * ens.blochs[0] - ens.priors[1] * ens.blochs[1]
-    g = channel.matrix @ hvec + (ens.priors[0] - ens.priors[1]) * channel.shift
-    scale = float(g @ hvec / (hvec @ hvec))
-    residual = float(np.linalg.norm(g - scale * hvec))
+    report = _verdict(build_system(ens, sol, tol=tol), channel, tol)
+    scale = 1.0 - report.delta / (sol.p_guess - 0.5)
     offset = float((1.0 - scale) * (ens.priors[0] - ens.priors[1]) / 2.0)
-    low = (2.0 * float(np.max(ens.priors)) - 1.0) / (2.0 * sol.p_guess - 1.0)
-    is_omp = (
-        residual <= tol.match_tol
-        and low - tol.match_tol <= scale <= 1.0 + tol.match_tol
+    return TwoStateReport(
+        report.is_omp, scale, offset, report.delta, float(report.residuals[0])
     )
-    delta = (1.0 - scale) * (sol.p_guess - 0.5)
-    if is_omp:
-        _cross_validate(sol, *_resolve_mapped(ens, channel, tol), delta, tol)
-    return TwoStateReport(is_omp, scale, offset, delta, residual)
 
 
 def _rotation_axis(d: np.ndarray) -> np.ndarray:

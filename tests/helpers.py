@@ -9,7 +9,9 @@ probability has a primal lower bound from random measurements, and exact
 guessing-probability preservation a test of every state pair.  The Choi
 operator has a loop-built oracle from the images of the matrix units, and
 the batched sieve a per-draw one.  The labelling of the states at the dual
-optimum and the value of a measurement have one-state-at-a-time loops.
+optimum and the value of a measurement have one-state-at-a-time loops.  The
+equal-prior and two-state preservation checks have closed forms of their
+own, fitted on the state differences and the weighted difference.
 """
 
 import itertools
@@ -18,9 +20,23 @@ import numpy as np
 
 from ompkit import Ensemble, QubitChannel, make_ensemble
 from ompkit.bloch import DEFAULT_TOL, Tolerances
-from ompkit.discrimination import CaseTag, _centers, _certify_subset
-from ompkit.errors import ConvergenceFailure, InfeasibleCompleteness
-from ompkit.omp_check import check_omp
+from ompkit.discrimination import CaseTag, _centers, _certify_subset, solve, solve_two_state
+from ompkit.errors import (
+    ConsistencyError,
+    ConvergenceFailure,
+    DominatedState,
+    InfeasibleCompleteness,
+    NotEquiprobable,
+    PairSetTooSmall,
+    WrongArity,
+)
+from ompkit.omp_check import (
+    EquiprobableReport,
+    TwoStateReport,
+    _require_cptp,
+    _resolve_mapped,
+    check_omp,
+)
 from ompkit.omp_construct import SieveSample, unpack
 
 SIGMA = (
@@ -310,3 +326,68 @@ def loop_povm_value(ens: Ensemble, sol, weights=None) -> float:
             continue
         total += ens.priors[x] * w * 0.5 * (1.0 - sol.comp_axis(x) @ ens.blochs[x])
     return float(total)
+
+
+def _confirm_drop(ens: Ensemble, channel: QubitChannel, sol, delta: float, tol: Tolerances) -> None:
+    """Re-solve the mapped ensemble: its optimum must drop by ``delta``."""
+    drop = sol.p_guess - _resolve_mapped(ens, channel, tol)[1].p_guess
+    if abs(delta - drop) > 10.0 * tol.match_tol:
+        raise ConsistencyError(f"degradation {delta:.3e} disagrees with drop {drop:.3e}")
+
+
+def closed_form_equiprobable(
+    ens: Ensemble, channel: QubitChannel, sol=None, tol: Tolerances = DEFAULT_TOL
+) -> EquiprobableReport:
+    """Test oracle for ``check_equiprobable``: the contraction ratio kappa
+    fitted directly on the identified state differences, the left-out
+    states tested one at a time, and a positive verdict re-solved."""
+    _require_cptp(channel, tol)
+    if np.ptp(ens.priors) > tol.match_tol:
+        raise NotEquiprobable(f"priors range over {np.ptp(ens.priors):.3g}")
+    if sol is None:
+        sol = solve(ens, tol)
+    if len(sol.identified) < 2:
+        raise PairSetTooSmall("need at least two identified states")
+    ident = np.array(sol.identified)
+    a1 = ident.min()
+    diffs = ens.blochs[a1] - ens.blochs[ident[ident != a1]]
+    mapped = diffs @ channel.matrix.T
+    kappa = float(np.sum(mapped * diffs) / np.sum(diffs * diffs))
+    residual = float(np.max(np.linalg.norm(mapped - kappa * diffs, axis=1)))
+    delta = (1.0 - kappa) * (sol.p_guess - 1.0 / ens.n)
+    images = ens.blochs @ channel.matrix.T + channel.shift
+    beta = ens.priors[a1] * images[a1] + (sol.gaps[a1] - delta) * sol.comp_states[a1]
+    dominated = True
+    for x in set(range(ens.n)).difference(sol.identified):
+        gap = beta - ens.priors[x] * images[x]
+        low = 0.5 * (sol.p_guess - delta - ens.priors[x]) - 0.5 * np.linalg.norm(gap)
+        dominated = dominated and bool(low >= -tol.psd_tol)
+    is_omp = residual <= tol.match_tol and 0.0 < kappa <= 1.0 + tol.match_tol and dominated
+    if is_omp:
+        _confirm_drop(ens, channel, sol, delta, tol)
+    return EquiprobableReport(is_omp, kappa, delta, residual)
+
+
+def closed_form_two_state(
+    ens: Ensemble, channel: QubitChannel, tol: Tolerances = DEFAULT_TOL
+) -> TwoStateReport:
+    """Test oracle for ``check_two_state``: the scale fitted directly on the
+    weighted Bloch difference and tested against its window, and a positive
+    verdict re-solved."""
+    if ens.n != 2:
+        raise WrongArity(f"two-state check got {ens.n} states")
+    _require_cptp(channel, tol)
+    sol = solve_two_state(ens, tol)
+    if any(t is CaseTag.NO_MEASUREMENT for t in sol.case_tags):
+        raise DominatedState("guessing is optimal; no measurement to preserve")
+    hvec = ens.priors[0] * ens.blochs[0] - ens.priors[1] * ens.blochs[1]
+    g = channel.matrix @ hvec + (ens.priors[0] - ens.priors[1]) * channel.shift
+    scale = float(g @ hvec / (hvec @ hvec))
+    residual = float(np.linalg.norm(g - scale * hvec))
+    offset = float((1.0 - scale) * (ens.priors[0] - ens.priors[1]) / 2.0)
+    low = (2.0 * float(np.max(ens.priors)) - 1.0) / (2.0 * sol.p_guess - 1.0)
+    is_omp = residual <= tol.match_tol and low - tol.match_tol <= scale <= 1.0 + tol.match_tol
+    delta = (1.0 - scale) * (sol.p_guess - 0.5)
+    if is_omp:
+        _confirm_drop(ens, channel, sol, delta, tol)
+    return TwoStateReport(is_omp, scale, offset, delta, residual)

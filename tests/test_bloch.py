@@ -131,5 +131,8 @@ def test_nullspace_of_zero_matrix_is_everything():
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(psd_tol=0.0)
+    for name in ("psd_tol", "rank_tol", "match_tol"):
+        with pytest.raises(ValueError):
+            Tolerances(**{name: float("nan")})
     custom = Tolerances(psd_tol=1e-7, rank_tol=1e-8, match_tol=1e-6)
     assert custom.match_tol == 1e-6

@@ -6,9 +6,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ompkit import gallery
+from ompkit import cli, gallery
 from ompkit.cli import main
 from ompkit.discrimination import solve
+from ompkit.errors import ConsistencyError, ConvergenceFailure
 from ompkit.fileio import load_ensemble
 
 from helpers import (
@@ -275,6 +276,81 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["solve"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--tol", "0"], "argument --tol: expected a number > 0, got '0'"),
+        (["solve", "--psd-tol", "-1"], "argument --psd-tol: expected a number > 0"),
+        (["solve", "--tol", "nan"], "argument --tol: expected a finite number, got 'nan'"),
+        (["solve", "--rank-tol", "inf"], "argument --rank-tol: expected a finite number"),
+        (["solve", "--tol", "tiny"], "argument --tol: expected a number, got 'tiny'"),
+        (["family", "--box", "nan"], "argument --box: expected a finite number"),
+        (["family", "--box", "inf"], "argument --box: expected a finite number"),
+        (["family", "--fixed-delta", "nan", "--json"], "argument --fixed-delta: expected a finite"),
+        (["solve", "--measurement", "0,x"], "expected comma-separated integers, got '0,x'"),
+        (["solve", "--measurement", ","], "argument --measurement: index list is empty"),
+    ],
+    ids=["tol-zero", "psd-tol-negative", "tol-nan", "rank-tol-inf", "tol-word", "box-nan",
+         "box-inf", "fixed-delta-nan", "measurement-word", "measurement-empty"],
+)
+def test_malformed_flag_values_exit_2(tmp_path, capsys, argv, message):
+    # a bad tolerance once escaped main as a ValueError traceback (exit 1 from
+    # the console script), a nan or inf box as an OverflowError, and a nan
+    # degradation reached the JSON report
+    argv = [argv[0], ensemble_file(tmp_path, "bb84")] + argv[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "target, error, argv",
+    [
+        ("solve", ConvergenceFailure, ["solve"]),
+        ("check_omp", ConsistencyError, ["check"]),
+    ],
+    ids=["solve", "check"],
+)
+def test_solver_errors_exit_4(tmp_path, capsys, monkeypatch, target, error, argv):
+    def fail(*args, **kwargs):
+        raise error("forced for the test")
+
+    monkeypatch.setattr(cli, target, fail)
+    argv = argv + [ensemble_file(tmp_path, "bb84")]
+    if target == "check_omp":
+        argv.append(channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.2}))
+    assert main(argv) == 4
+    assert "ompkit: solver error: forced for the test" in capsys.readouterr().err
+
+
+def test_check_text_output(tmp_path, capsys):
+    epath = ensemble_file(tmp_path, "bb84")
+    cpath = channel_file(tmp_path, {"kind": "depolarizing", "eta": 0.2})
+    assert main(["check", epath, cpath, "--no-timestamp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verdict: preserves the optimal measurement (strong)"
+    assert lines[3:5] == ["degradation within bounds: True", "index set: [0, 1, 2, 3]"]
+
+
+def test_family_text_output(tmp_path, capsys):
+    argv = ["family", ensemble_file(tmp_path, "bb84"), "--samples", "40", "--box", "0.5"]
+    assert main(argv + ["--no-timestamp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["index set: [0, 1, 2, 3]", "nullity: 7"]
+    assert "sieve: kept 11 of 40 (seed 0, box 0.5, slice full)" in lines
+    assert sum(line.startswith("  delta=") for line in lines) == 5
+    assert lines[-1] == "  ... 6 more in the JSON report"
+
+
+def test_solve_measurement_text_output(tmp_path, capsys):
+    argv = ["solve", ensemble_file(tmp_path, "bb84"), "--measurement", "2,3"]
+    assert main(argv + ["--no-timestamp"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("measurement on [2, 3]: weights=[0.0, 0.0, ")
+    assert " value=" in last
 
 
 def test_invariant_errors_exit_3(tmp_path, capsys):

@@ -374,6 +374,10 @@ def test_min_norm_weights_match_enumeration(axes):
         # around it: the multipliers of a rank-2 support are not unique
         [[1, 0, 0], [-1, 2, 0], [0, 1, 0], [0, -1, -1], [-1, 1, -2], [-1, 1, 0],
          [2, -1, -1], [1, 2, 1], [2, 2, 1], [-1, 0, 0]],
+        # the walk must release a held weight: without the release it stops
+        # at (0, 0, 1, 0, 0, 0, 1, 0), 0.569 from the optimum
+        [[2, 0, -4], [2, -1, 0], [-3, 0, -4], [-3, -4, -1], [2, -3, 2], [4, -1, 3],
+         [3, 0, 4], [-3, 0, -3]],
     ],
 )
 def test_min_norm_weights_degenerate_axes(vectors):

@@ -18,17 +18,19 @@ from ompkit.ensembles import make_ensemble
 from ompkit.errors import (
     BadParameter,
     ConsistencyError,
+    ConvergenceFailure,
     DominatedState,
     IndexOutOfRange,
     MissingComplementaryState,
     NotEquiprobable,
     NotOmpInput,
     NotUnitary,
+    OmpkitError,
     PairSetTooSmall,
     WrongArity,
 )
 from ompkit.fileio import bundled_ensemble
-from ompkit.omp_construct import family_for, unpack
+from ompkit.omp_construct import family_for, sieve_admissible, unpack
 from ompkit.omp_check import (
     Mode,
     check_convex_mix,
@@ -43,6 +45,8 @@ from helpers import (
     EQUIPROBABLE_LEFT_OUT,
     LEFT_OUT_STATES,
     UNIDENTIFIED_FOURTH,
+    closed_form_equiprobable,
+    closed_form_two_state,
     pairwise_pg_preserving,
     random_cptp_channel,
     random_ensemble,
@@ -172,6 +176,95 @@ def test_planar_kernel_channel_is_omp():
         assert rep.residual <= 1e-12
         # The common shift drops out of every difference vector.
         assert rep.delta == pytest.approx(0.5 * (19 / 30 - 1 / 3), abs=1e-10)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except OmpkitError as exc:
+        return type(exc)
+
+
+def test_specialised_checks_match_closed_forms():
+    # both checks read check_omp's verdict; the closed forms fit kappa on
+    # the state differences and the scale on the weighted difference
+    rng = np.random.default_rng(41)
+    tally = {"cases": 0, "eq": 0, "two": 0, "errors": 0}
+    for i in range(100):
+        if i % 2 == 0:
+            ens = random_ensemble(rng, int(rng.integers(2, 7)), equiprobable=True, min_norm=0.3)
+        else:
+            ens = random_ensemble(rng, 2)
+        axis = rng.normal(size=3)
+        channels = [
+            depolarizing_channel(float(rng.uniform(0, 1))),
+            unitary_channel(axis / np.linalg.norm(axis), float(rng.uniform(0, np.pi))),
+            random_cptp_channel(rng),
+        ]
+        try:
+            kept = sieve_admissible(family_for(ens), count=20, seed=i, box=0.5)
+            channels.extend(s.channel for s in kept[:1])
+        except OmpkitError:
+            pass
+        for channel in channels:
+            pairs = []
+            if i % 2 == 0:
+                pairs.append(("eq", check_equiprobable, closed_form_equiprobable, ("kappa",)))
+            if ens.n == 2:
+                pairs.append(("two", check_two_state, closed_form_two_state, ("scale", "offset")))
+            for label, check, oracle, fields in pairs:
+                got, want = _outcome(check, ens, channel), _outcome(oracle, ens, channel)
+                tally["cases"] += 1
+                if isinstance(want, type):
+                    assert got is want
+                    tally["errors"] += 1
+                    continue
+                assert got.is_omp is want.is_omp
+                tally[label] += got.is_omp
+                for field in fields + ("delta", "residual"):
+                    assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-10)
+    assert tally["cases"] >= 300
+    assert min(tally["eq"], tally["two"], tally["errors"]) >= 20
+
+
+def _near_equal_trine():
+    s = 0.9 * np.sqrt(3.0) / 2.0
+    trine = make_ensemble(
+        [(1 / 3 + 4e-9, (0.9, 0, 0)), (1 / 3 - 4e-9, (-0.45, s, 0)), (1 / 3, (-0.45, -s, 0))]
+    )
+    fam = family_for(trine)
+    coeffs = np.random.default_rng(1).uniform(-0.3, 0.3, 7)
+    return trine, unpack(fam.particular + fam.null_basis @ coeffs)[0]
+
+
+@pytest.mark.parametrize("case", ["near_equal_priors", "anisotropic"])
+def test_equiprobable_reads_check_omp_in_tolerance_band(case):
+    # the closed form refused both channels, which check_omp accepts: priors
+    # 8e-9 apart pass as equal, but it dropped their shift term (residual
+    # 1.3e-8); and it bounded |D d - kappa d| by match_tol where check_omp
+    # bounds the pair's row, (1/n) |D d - kappa d| (residual 1.5e-8, n = 6)
+    if case == "near_equal_priors":
+        ens, channel = _near_equal_trine()
+    else:
+        ens = bundled_ensemble("three_mubs")
+        channel = QubitChannel(np.diag([0.8, 0.8, 0.8 + 2e-8]), np.zeros(3))
+    assert closed_form_equiprobable(ens, channel).residual > 1e-8
+    rep = check_equiprobable(ens, channel)
+    general = check_omp(ens, channel)
+    assert rep.is_omp and general.is_omp
+    assert rep.delta == general.delta
+    assert rep.residual == pytest.approx(ens.n * np.max(general.residuals), rel=1e-12)
+
+
+def test_equiprobable_collapse_refused_before_resolve():
+    # kappa < 0 decides before the re-solve, which fails on the collapsed
+    # ensemble (ROADMAP item 1)
+    ens = bundled_ensemble("bb84")
+    channel = QubitChannel(-1e-9 * np.eye(3), np.zeros(3))
+    rep = check_equiprobable(ens, channel)
+    assert not rep.is_omp and rep.kappa < 0.0
+    with pytest.raises(ConvergenceFailure):
+        check_omp(ens, channel)
 
 
 def test_two_state_depolarizing_threshold():

@@ -181,6 +181,8 @@ def test_conflicting_slices_unreachable():
     pinned = delta_slice(fam, 0.1)
     with pytest.raises(DeltaUnreachable):
         delta_slice(pinned, 0.2)
+    # pinning the pinned coordinate to its own value changes nothing
+    assert delta_slice(pinned, 0.1) is pinned
 
 
 def test_unital_zero_delta_slice_contains_identity():
