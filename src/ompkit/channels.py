@@ -59,6 +59,8 @@ class QubitChannel:
             raise ValueError(f"channel matrix must be 3x3, got {m.shape}")
         if t.shape != (3,):
             raise ValueError(f"channel shift must be a 3-vector, got {t.shape}")
+        if not (np.isfinite(m).all() and np.isfinite(t).all()):
+            raise ValueError("channel entries must be finite")
         m.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -110,9 +112,11 @@ def unitary_channel(axis, angle: float) -> QubitChannel:
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise BadParameter(f"axis must be a 3-vector, got shape {axis.shape}")
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
         raise BadParameter(f"axis must be unit length, got norm {np.linalg.norm(axis):.12g}")
     angle = float(angle)
+    if not np.isfinite(angle):
+        raise BadParameter(f"angle must be finite, got {angle}")
     c, s = np.cos(angle), np.sin(angle)
     k = np.array(
         [

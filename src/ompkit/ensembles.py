@@ -54,7 +54,8 @@ def make_ensemble(states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
 
     Priors must be strictly positive and sum to one; a drift below 1e-9 is
     silently renormalized, anything larger raises BadPriors.  Bloch vectors
-    may exceed unit norm only within the positivity tolerance.
+    may exceed unit norm only within the positivity tolerance.  NaN, which
+    compares false, fails both tests.
     """
     states = list(states)
     if len(states) < 2:
@@ -63,14 +64,14 @@ def make_ensemble(states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     blochs = np.array([np.asarray(v, dtype=float) for _, v in states])
     if blochs.shape != (len(states), 3):
         raise ValueError(f"expected (n, 3) Bloch vectors, got shape {blochs.shape}")
-    if np.any(priors <= 0):
+    if not np.all(priors > 0):
         raise BadPriors("all priors must be strictly positive")
     total = priors.sum()
     if abs(total - 1.0) >= _PRIOR_DRIFT:
         raise BadPriors(f"priors sum to {total:.12g}, not 1")
     priors = priors / total
     norms = np.linalg.norm(blochs, axis=1)
-    if np.any(norms > 1.0 + tol.psd_tol):
+    if not np.all(norms <= 1.0 + tol.psd_tol):
         bad = int(np.argmax(norms))
         raise BlochOutOfBall(f"state {bad} has Bloch norm {norms[bad]:.12g} > 1")
     priors.flags.writeable = False

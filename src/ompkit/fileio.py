@@ -19,6 +19,7 @@ of silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -45,6 +46,9 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}: expected a number, got {value!r}")
+    # json reads NaN, Infinity and 1e400; compared exactly, a huge int fails too
+    if not abs(value) <= sys.float_info.max:
+        raise FormatError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -100,7 +104,7 @@ def _load_json(path: str | Path):
         raise FormatError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

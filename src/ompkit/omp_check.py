@@ -7,9 +7,11 @@ symmetry operator still dominates every state the measurement leaves out.
 check_omp takes the measurement and its pairwise conditions from
 omp_construct's ``build_system``, the linear system solved for the family,
 fits the scalar by least squares, and decides from the residuals, the gap
-bound and dominance; the family's sieve reaches the same verdict on the
-family's own system, and the equiprobable and two-state checks read it as
-a contraction ratio and a scale, with a positive ratio for equal priors.
+bound and dominance.  Every other check is one reading of that verdict on
+one system: the family's sieve on the family's own system, the equiprobable
+and two-state checks as a contraction ratio and a scale, with a positive
+ratio for equal priors, the rotation check as its verdict on a rotation,
+and the convex-mix check as its verdict on both inputs and on the blend.
 Every positive verdict is cross-validated by one routine that re-solves the
 transformed ensemble, so a positive answer is always backed by two
 independent computations.
@@ -167,10 +169,13 @@ def _fit_degradation(system: OmpSystem, channel: QubitChannel):
     return delta, np.linalg.norm(lhs - delta * axes, axis=1)
 
 
-def _verdict(system: OmpSystem, channel: QubitChannel, tol: Tolerances) -> OmpReport:
-    """check_omp's verdict on a validated measurement, ``channel`` CPTP."""
+def _verdict(
+    system: OmpSystem, channel: QubitChannel, tol: Tolerances, fit=None
+) -> OmpReport:
+    """check_omp's verdict on a validated measurement, ``channel`` CPTP;
+    ``fit`` is ``_fit_degradation(system, channel)`` if the caller has it."""
     ens, sol, index_set = system.ensemble, system.solution, system.index_set
-    delta, residuals = _fit_degradation(system, channel)
+    delta, residuals = fit or _fit_degradation(system, channel)
     min_gap = float(np.min(sol.gaps[list(index_set)]))
     r_bound_ok = -tol.match_tol <= delta <= min_gap + tol.match_tol
     after_ens, after_sol = _resolve_mapped(ens, channel, tol)
@@ -242,9 +247,10 @@ def check_equiprobable(
     if sol is None:
         sol = solve(ens, tol)
     system = build_system(ens, sol, tol=tol)
-    delta, residuals = _fit_degradation(system, channel)
+    fit = _fit_degradation(system, channel)
+    delta, residuals = fit
     kappa = 1.0 - delta / (sol.p_guess - 1.0 / ens.n)
-    is_omp = kappa > 0.0 and _verdict(system, channel, tol).is_omp
+    is_omp = kappa > 0.0 and _verdict(system, channel, tol, fit).is_omp
     return EquiprobableReport(is_omp, kappa, delta, ens.n * float(np.max(residuals)))
 
 
@@ -274,27 +280,18 @@ def check_two_state(
     )
 
 
-def _rotation_axis(d: np.ndarray) -> np.ndarray:
-    """Unit axis of a proper rotation (the +1 eigenvector)."""
-    w, v = np.linalg.eig(d)
-    k = int(np.argmin(np.abs(w - 1.0)))
-    axis = np.real(v[:, k])
-    return axis / np.linalg.norm(axis)
-
-
 def check_unitary(
     ens: Ensemble,
     channel: QubitChannel,
     sol: DiscriminationSolution | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
-    """Preservation verdict for a rotation channel, decided geometrically.
+    """Preservation verdict for a rotation channel, read off check_omp's.
 
-    A two-element measurement survives exactly the rotations about its own
-    axis; a measurement identifying three or more states survives only the
-    identity.  With no identified states (guessing) every rotation trivially
-    preserves the strategy.  Positive verdicts are cross-checked against
-    check_omp, which must report zero degradation.
+    The channel must be a Bloch rotation, else NotUnitary.  A two-element
+    measurement survives the rotations about its own axis, one identifying
+    three or more states only the identity; with no identified states
+    (guessing) every rotation trivially preserves the strategy.
     """
     d, t = channel.matrix, channel.shift
     if (
@@ -305,22 +302,9 @@ def check_unitary(
         raise NotUnitary("channel is not a Bloch rotation")
     if sol is None:
         sol = solve(ens, tol)
-    identity = np.linalg.norm(d - np.eye(3)) <= tol.match_tol
     if len(sol.identified) == 0:
-        verdict = True
-    elif len(sol.identified) > 2:
-        verdict = identity
-    else:
-        axis = _rotation_axis(d)
-        meas = sol.comp_axis(sol.identified[0])
-        verdict = identity or np.linalg.norm(np.cross(axis, meas)) <= tol.match_tol
-    if verdict and len(sol.identified) >= 2:
-        report = check_omp(ens, channel, sol, tol=tol)
-        if not report.is_omp or abs(report.delta) > tol.match_tol:
-            raise ConsistencyError(
-                "geometric verdict disagrees with the pairwise check"
-            )
-    return verdict
+        return True
+    return _verdict(build_system(ens, sol, tol=tol), channel, tol).is_omp
 
 
 def check_pg_preserving(
@@ -354,25 +338,29 @@ def check_convex_mix(
 ) -> OmpReport:
     """Check the blend ``(1-mix)*first + mix*second`` and its degradation.
 
-    Both inputs must pass check_omp for the same measurement; the blend then
-    must too, with degradation equal to the blend of the input degradations.
-    Violations raise ConsistencyError since they contradict convexity of the
-    preserving set.
+    check_omp's verdict on one system for the measurement: both inputs must
+    pass it, else NotOmpInput; the blend then must too, with degradation
+    equal to the blend of the input degradations.  Violations raise
+    ConsistencyError since they contradict convexity of the preserving set.
     """
     mix = float(mix)
     if not 0.0 <= mix <= 1.0:
         raise BadParameter(f"mixing weight must be in [0, 1], got {mix}")
     if sol is None:
         sol = solve(ens, tol)
-    rep_a = check_omp(ens, first, sol, index_set, tol)
-    rep_b = check_omp(ens, second, sol, index_set, tol)
+    _require_cptp(first, tol)
+    system = build_system(ens, sol, index_set, tol)
+    rep_a = _verdict(system, first, tol)
+    _require_cptp(second, tol)
+    rep_b = _verdict(system, second, tol)
     if not (rep_a.is_omp and rep_b.is_omp):
         raise NotOmpInput("both channels must preserve the measurement")
     blend = QubitChannel(
         (1.0 - mix) * first.matrix + mix * second.matrix,
         (1.0 - mix) * first.shift + mix * second.shift,
     )
-    report = check_omp(ens, blend, sol, index_set, tol)
+    _require_cptp(blend, tol)
+    report = _verdict(system, blend, tol)
     target = (1.0 - mix) * rep_a.delta + mix * rep_b.delta
     if not report.is_omp or abs(report.delta - target) > tol.match_tol:
         raise ConsistencyError(

@@ -11,7 +11,8 @@ operator has a loop-built oracle from the images of the matrix units, and
 the batched sieve a per-draw one.  The labelling of the states at the dual
 optimum and the value of a measurement have one-state-at-a-time loops.  The
 equal-prior and two-state preservation checks have closed forms of their
-own, fitted on the state differences and the weighted difference.
+own, fitted on the state differences and the weighted difference, and the
+rotation check a geometric one, from the rotation axis.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from ompkit.errors import (
     DominatedState,
     InfeasibleCompleteness,
     NotEquiprobable,
+    NotUnitary,
     PairSetTooSmall,
     WrongArity,
 )
@@ -94,6 +96,30 @@ EQUIPROBABLE_LEFT_OUT = [
     (0.25, [-0.616361617317075, 0.6670578943701971, 0.4184878997733128]),
     (0.25, [0.4732900852896917, 0.04573437199029376, 0.879718626826288]),
 ]
+
+
+# Two CPTP channels of bb84 (all four states identified) under which the
+# mapped states agree to a few 1e-9 and the degradation sits within 1e-9 of
+# the min gap 0.25: a member of bb84's family, and a strong contraction.
+# The pairwise residuals are below 2e-10 and nothing is left out, so the
+# measurement is preserved, but the re-solve of the mapped ensemble raises
+# ConvergenceFailure (ROADMAP item 1)
+BB84_FAMILY_END = {
+    "D": [
+        [2.6562758490174254e-09, 9.7347687030506086e-03, 2.7755575615628914e-17],
+        [-3.6979491855061791e-17, 3.5291923432337291e-01, 5.7503290832742247e-18],
+        [1.1877688365238842e-16, 1.6813190282808563e-01, 2.6562760628220938e-09],
+    ],
+    "t": [-0.2861437010047148, -0.4449323539854103, -0.29575949370557814],
+}
+BB84_CONTRACTION = {
+    "D": [
+        [3.014510104306924e-09, 0.0, 0.0],
+        [0.0, 1.5985692484572663e-07, 0.0],
+        [0.0, 0.0, 2.1928860245257036e-09],
+    ],
+    "t": [0.23638936592338003, -0.3691900449178584, -0.29449644276253095],
+}
 
 
 def random_cptp_channel(rng: np.random.Generator, env_dim: int = 2) -> QubitChannel:
@@ -391,3 +417,42 @@ def closed_form_two_state(
     if is_omp:
         _confirm_drop(ens, channel, sol, delta, tol)
     return TwoStateReport(is_omp, scale, offset, delta, residual)
+
+
+def closed_form_unitary(
+    ens: Ensemble, channel: QubitChannel, sol=None, tol: Tolerances = DEFAULT_TOL
+) -> bool:
+    """Test oracle for ``check_unitary``: decided geometrically.
+
+    A two-element measurement survives exactly the rotations about its own
+    axis, the +1 eigenvector of the rotation; a measurement identifying
+    three or more states survives only the identity, to ``match_tol`` in
+    the matrix norm.  With no identified states every rotation preserves
+    guessing.  A positive verdict must be confirmed by check_omp with zero
+    degradation, else ConsistencyError.
+    """
+    d, t = channel.matrix, channel.shift
+    if (
+        np.linalg.norm(d.T @ d - np.eye(3)) > 1e-9
+        or abs(np.linalg.det(d) - 1.0) > 1e-9
+        or np.linalg.norm(t) > 1e-9
+    ):
+        raise NotUnitary("channel is not a Bloch rotation")
+    if sol is None:
+        sol = solve(ens, tol)
+    identity = np.linalg.norm(d - np.eye(3)) <= tol.match_tol
+    if len(sol.identified) == 0:
+        verdict = True
+    elif len(sol.identified) > 2:
+        verdict = identity
+    else:
+        w, v = np.linalg.eig(d)
+        axis = np.real(v[:, int(np.argmin(np.abs(w - 1.0)))])
+        axis /= np.linalg.norm(axis)
+        meas = sol.comp_axis(sol.identified[0])
+        verdict = identity or np.linalg.norm(np.cross(axis, meas)) <= tol.match_tol
+    if verdict and len(sol.identified) >= 2:
+        report = check_omp(ens, channel, sol, tol=tol)
+        if not report.is_omp or abs(report.delta) > tol.match_tol:
+            raise ConsistencyError("geometric verdict disagrees with the pairwise check")
+    return bool(verdict)

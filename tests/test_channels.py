@@ -47,6 +47,11 @@ def test_unitary_channel_knowns():
         unitary_channel([0, 0, 2], 0.5)
     with pytest.raises(BadParameter):
         unitary_channel([0, 0], 0.5)
+    # non-finite inputs once made a NaN rotation (and a RuntimeWarning)
+    with pytest.raises(BadParameter, match="got norm nan"):
+        unitary_channel([0, 0, np.nan], 0.5)
+    with pytest.raises(BadParameter, match="angle must be finite"):
+        unitary_channel([0, 0, 1], np.inf)
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,6 +65,19 @@ def test_unitary_channel_is_rotation(angle, rnd):
     assert abs(np.linalg.det(rot) - 1.0) <= 1e-12
     assert np.allclose(rot @ axis, axis, atol=1e-12)
     assert abs(np.trace(rot) - (1.0 + 2.0 * math.cos(angle))) <= 1e-12
+
+
+def test_channel_rejects_bad_entries():
+    with pytest.raises(ValueError, match="must be 3x3"):
+        QubitChannel(np.eye(2), np.zeros(3))
+    with pytest.raises(ValueError, match="must be a 3-vector"):
+        QubitChannel(np.eye(3), np.zeros(2))
+    # a NaN entry once reached eigvalsh in the Choi test and failed there
+    nan_d = np.eye(3)
+    nan_d[1, 1] = np.nan
+    for matrix, shift in ((nan_d, np.zeros(3)), (np.eye(3), [0, np.inf, 0])):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            QubitChannel(matrix, shift)
 
 
 def test_apply_validates_input_ball():

@@ -10,9 +10,11 @@ from ompkit import cli, gallery
 from ompkit.cli import main
 from ompkit.discrimination import solve
 from ompkit.errors import ConsistencyError, ConvergenceFailure
-from ompkit.fileio import load_ensemble
+from ompkit.fileio import load_channel, load_ensemble
+from ompkit.omp_check import check_omp
 
 from helpers import (
+    BB84_FAMILY_END,
     LEFT_OUT_SIEVE,
     LEFT_OUT_STATES,
     NO_MEASUREMENT_COPIES,
@@ -177,6 +179,16 @@ def test_solve_json_identified_are_plain_ints(tmp_path, capsys, states):
     assert rep["case_tags"] == [tag.value for tag in sol.case_tags]
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceFailure, reason="ROADMAP item 1")
+def test_check_family_end_member_exit_0(tmp_path, capsys):
+    # a strictly CPTP member of bb84's family with degradation 6.6e-10 below
+    # the min gap: the re-solve fails certification, so check exits 4
+    epath = ensemble_file(tmp_path, "bb84")
+    cpath = channel_file(tmp_path, BB84_FAMILY_END)
+    assert check_omp(load_ensemble(epath), load_channel(cpath)).is_omp
+    assert main(["check", epath, cpath]) == 0
+
+
 def test_check_rotation_strong_vs_weak(tmp_path, capsys):
     epath = ensemble_file(tmp_path, "bb84")
     cpath = channel_file(
@@ -270,6 +282,28 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["solve", str(unknown)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err
+    # json reads NaN and Infinity: a NaN prior or Bloch component once
+    # failed to converge in the SVD, a NaN D entry or an infinite angle in
+    # eigvalsh, each a traceback (exit 1, the code of a negative verdict)
+    nan = float("nan")
+    for where, states in (
+        ("states[0].q", [(nan, [0, 0, 1]), (0.5, [0, 0, -1])]),
+        ("states[1].bloch", [(0.5, [0, 0, 1]), (0.5, [0, nan, -1])]),
+    ):
+        assert main(["solve", states_file(tmp_path, states, "nan.json")]) == 2
+        assert f"{where}: expected a finite number, got nan" in capsys.readouterr().err
+    epath = ensemble_file(tmp_path, "bb84")
+    for where, doc in (
+        ("channel.D[1]", {"D": [[1, 0, 0], [0, nan, 0], [0, 0, 1]]}),
+        ("channel.angle", {"kind": "unitary", "axis": [0, 0, 1], "angle": float("inf")}),
+    ):
+        assert main(["check", epath, channel_file(tmp_path, doc)]) == 2
+        assert f"{where}: expected a finite number" in capsys.readouterr().err
+    # an integer of 5,000 digits once escaped as a ValueError from json
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"states": [{"q": ' + "1" * 5000 + ', "bloch": [0, 0, 1]}]}')
+    assert main(["solve", str(huge)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -29,6 +29,9 @@ def test_make_ensemble_validates_priors():
         make_ensemble([(0.7, (0, 0, 1)), (0.5, (0, 0, -1))])
     with pytest.raises(BadPriors):
         make_ensemble([(1.2, (0, 0, 1)), (-0.2, (0, 0, -1))])
+    # NaN compares false, so a test for a bad prior once passed it
+    with pytest.raises(BadPriors):
+        make_ensemble([(float("nan"), (0, 0, 1)), (0.5, (0, 0, -1))])
 
 
 def test_make_ensemble_renormalizes_tiny_drift():
@@ -39,6 +42,8 @@ def test_make_ensemble_renormalizes_tiny_drift():
 def test_make_ensemble_validates_ball():
     with pytest.raises(BlochOutOfBall):
         make_ensemble([(0.5, (0, 0, 1.1)), (0.5, (0, 0, -1))])
+    with pytest.raises(BlochOutOfBall, match="state 1 has Bloch norm nan"):
+        make_ensemble([(0.5, (0, 0, 1)), (0.5, (0, float("nan"), 0))])
 
 
 def test_ensemble_is_immutable():

@@ -44,6 +44,9 @@ def test_parse_ensemble_valid():
         {"states": [{"q": 0.5, "bloch": [0, 0, "1"]}]},
         {"wrong": []},
         [],
+        {"states": [{"q": float("nan"), "bloch": [0, 0, 1]}]},
+        {"states": [{"q": 0.5, "bloch": [0, float("-inf"), 0]}]},
+        {"states": [{"q": 10**400, "bloch": [0, 0, 1]}]},
     ],
 )
 def test_parse_ensemble_rejects(doc):
@@ -75,6 +78,8 @@ def test_parse_channel_variants():
         {"D": "identity"},
         {"t": [0, 0, 0]},
         {"D": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "shift": [0, 0, 0]},
+        {"D": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, float("nan"), 0]},
+        {"kind": "depolarizing", "eta": float("inf")},
     ],
 )
 def test_parse_channel_rejects(doc):

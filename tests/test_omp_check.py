@@ -29,7 +29,7 @@ from ompkit.errors import (
     PairSetTooSmall,
     WrongArity,
 )
-from ompkit.fileio import bundled_ensemble
+from ompkit.fileio import bundled_ensemble, parse_channel
 from ompkit.omp_construct import family_for, sieve_admissible, unpack
 from ompkit.omp_check import (
     Mode,
@@ -42,11 +42,14 @@ from ompkit.omp_check import (
 )
 
 from helpers import (
+    BB84_CONTRACTION,
+    BB84_FAMILY_END,
     EQUIPROBABLE_LEFT_OUT,
     LEFT_OUT_STATES,
     UNIDENTIFIED_FOURTH,
     closed_form_equiprobable,
     closed_form_two_state,
+    closed_form_unitary,
     pairwise_pg_preserving,
     random_cptp_channel,
     random_ensemble,
@@ -267,6 +270,34 @@ def test_equiprobable_collapse_refused_before_resolve():
         check_omp(ens, channel)
 
 
+def test_equiprobable_fits_once(monkeypatch):
+    # kappa and the verdict read one fit; it once ran twice per call
+    calls = []
+    real = omp_check._fit_degradation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(omp_check, "_fit_degradation", counted)
+    ens = bundled_ensemble("three_mubs")
+    for channel in (depolarizing_channel(0.3), QubitChannel(-0.2 * np.eye(3), np.zeros(3))):
+        calls.clear()
+        rep = check_equiprobable(ens, channel)
+        assert len(calls) == 1
+        assert rep.is_omp is (rep.kappa > 0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceFailure, reason="ROADMAP item 1")
+@pytest.mark.parametrize("check", [check_omp, check_equiprobable])
+@pytest.mark.parametrize("doc", [BB84_FAMILY_END, BB84_CONTRACTION], ids=["family_end", "contraction"])
+def test_near_collapse_preserves_bb84(check, doc):
+    # every pairwise residual is below 2e-10 and the degradation is inside
+    # the window, with no state left out; the re-solve of the mapped states,
+    # which agree to about 1e-9, fails certification
+    assert check(bundled_ensemble("bb84"), parse_channel(doc)).is_omp
+
+
 def test_two_state_depolarizing_threshold():
     # Orthogonal pair with priors 0.7/0.3: preserved exactly up to eta = 0.6.
     pair = make_ensemble([(0.7, (0, 0, 1)), (0.3, (0, 0, -1))])
@@ -305,6 +336,15 @@ def test_unitary_verdicts():
     perp = np.array([h[2], 0.0, -h[0]])
     perp /= np.linalg.norm(perp)
     assert not check_unitary(pair, unitary_channel(perp, 0.7))
+    # a half turn about perp flips h: the fitted degradation is |h| = 0.72,
+    # past the min gap
+    flip = unitary_channel(perp, np.pi)
+    assert not check_unitary(pair, flip)
+    assert check_omp(pair, flip).delta == pytest.approx(np.sqrt(0.52), abs=1e-12)
+    assert not check_omp(pair, flip).r_bound_ok
+    # |D - I| = 1.41e-8 is past match_tol, which once decided, but the pair
+    # residual is 6e-9, so check_omp preserves the measurement
+    assert check_unitary(pair, unitary_channel((1, 0, 0), 1e-8))
     # Three or more identified states survive only the identity rotation.
     bb84 = bundled_ensemble("bb84")
     assert check_unitary(bb84, identity_channel())
@@ -314,6 +354,71 @@ def test_unitary_verdicts():
     assert check_unitary(dominated, unitary_channel((0, 1, 0), 1.2))
     with pytest.raises(NotUnitary):
         check_unitary(pair, depolarizing_channel(0.2))
+
+
+def _rotation_cases(rng, count):
+    """Seeded (ensemble, rotation) pairs: n 2..7, equal and unequal priors,
+    coplanar states and guessing ensembles; random rotations, rotations
+    about the measurement axis, half turns, the identity and near-identity
+    angles 1e-12..1e-6."""
+    for i in range(count):
+        n = int(rng.integers(2, 8))
+        kind = i % 4
+        if kind == 0:
+            ens = random_ensemble(rng, n)
+        elif kind == 1:
+            ens = random_ensemble(rng, n, equiprobable=True)
+        elif kind == 2:
+            normal = rng.normal(size=3)
+            normal /= np.linalg.norm(normal)
+            vecs = rng.normal(size=(n, 3))
+            vecs -= np.outer(vecs @ normal, normal)
+            vecs *= rng.uniform(0.2, 1.0, (n, 1)) / np.linalg.norm(vecs, axis=1, keepdims=True)
+            ens = make_ensemble(zip(rng.dirichlet(np.ones(n)), vecs))
+        else:
+            # a prior >= 0.75 on a state of Bloch norm <= 0.2 strictly holds
+            # every other ball: guessing, with no identified state
+            q0 = rng.uniform(0.75, 0.9)
+            v0 = rng.normal(size=3)
+            v0 *= rng.uniform(0, 0.2) / np.linalg.norm(v0)
+            vecs = rng.normal(size=(n - 1, 3))
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            priors = (1 - q0) * rng.dirichlet(np.ones(n - 1))
+            ens = make_ensemble([(q0, v0)] + list(zip(priors, vecs)))
+        sol = solve(ens)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angle = float(rng.uniform(0, np.pi))
+        spin = i // 4 % 5
+        if spin == 1 and sol.identified:
+            axis = sol.comp_axis(sol.identified[0])
+        elif spin == 2:
+            angle = np.pi
+        elif spin == 3:
+            angle = 0.0
+        elif spin == 4:
+            angle = float(10.0 ** rng.uniform(-12, -6))
+        yield ens, unitary_channel(axis, angle)
+
+
+def test_unitary_matches_closed_form():
+    # check_unitary reads check_omp's verdict; the oracle decides from the
+    # rotation axis and |D - I| <= match_tol.  They differ only where the
+    # oracle's threshold is tighter than check_omp's residuals: near the
+    # identity, the oracle says no and check_omp yes
+    tally = {"cases": 0, "true": 0, "false": 0, "guessing": 0, "band": 0}
+    for ens, rot in _rotation_cases(np.random.default_rng(43), 480):
+        got, want = _outcome(check_unitary, ens, rot), _outcome(closed_form_unitary, ens, rot)
+        tally["cases"] += 1
+        tally["guessing"] += not solve(ens).identified
+        if got is not want:
+            assert want is False and got is True
+            assert check_omp(ens, rot).is_omp
+            tally["band"] += 1
+        tally[str(got).lower()] += 1
+    assert tally["cases"] >= 400
+    assert min(tally["true"], tally["false"], tally["guessing"]) >= 60
+    assert tally["band"] >= 1, tally
 
 
 def test_pg_preserving():
@@ -359,6 +464,26 @@ def test_pg_preserving_matches_pairwise_oracle():
     assert any(v for kind, n, v in verdicts if kind == 4)
     assert any(not v for kind, n, v in verdicts if kind == 4)
     assert not any(v for kind, n, v in verdicts if kind == 3)
+
+def test_convex_mix_builds_one_system(monkeypatch):
+    # both inputs and the blend read one system; it was once built three
+    # times, once per check_omp call
+    calls = []
+    real = omp_check.build_system
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(omp_check, "build_system", counted)
+    ens = bundled_ensemble("bb84")
+    first, second = identity_channel(), depolarizing_channel(0.2)
+    rep = check_convex_mix(ens, first, second, 0.25)
+    assert len(calls) == 1
+    blend = check_omp(ens, QubitChannel(0.75 * first.matrix + 0.25 * second.matrix, np.zeros(3)))
+    for field in dataclasses.fields(rep):
+        assert np.array_equal(getattr(rep, field.name), getattr(blend, field.name))
+
 
 def test_convex_mix_blends_degradation():
     ens = bundled_ensemble("bb84")
