@@ -454,13 +454,17 @@ def povm_weights(
     return weights
 
 
-def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
-    """Exact optimal discrimination of an arbitrary qubit ensemble.
+def _enclosing_ball(cen: np.ndarray, off: np.ndarray, start=()):
+    """``(f, y)`` of the smallest ball enclosing the balls ``B(cen_x, off_x)``.
 
-    Basis improvement for the smallest ball enclosing the balls
-    ``B(q_x v_x / 2, q_x / 2)``, an LP-type problem with bases of at most
-    four balls: from the ball of the largest prior, each pivot takes the
-    state farthest outside the current ball and computes the new basis from
+    Basis improvement for an LP-type problem with bases of at most four
+    balls.  A ``start`` of one to four states, each repeated ball counted
+    once, is certified first, by the same ``_certify_subset`` as every
+    pivot: its equalities, its convex multipliers and the feasibility of
+    every state.  Those conditions make the ball optimal, so a certified
+    start is the answer.  Otherwise, as for any other start, the loop
+    begins at the ball of the largest prior; each pivot takes the state
+    farthest outside the current ball and computes the new basis from
     scratch (``_pivot``), as move-to-front is not safe for balls (Fischer &
     Gartner, IJCGA 14, 2004).  The radius rises strictly, so the loop is
     finite; it ends once no state exceeds the ball by 1e-10.  Raises
@@ -468,15 +472,23 @@ def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminatio
     when a pivot certifies no ball or ``8 n + 32`` pivots do not settle:
     degeneracy beyond the built-in tolerances.
     """
-    cen, off = _centers(ens)
+    if 1 <= len(start) <= 4:
+        # a basis holds no ball twice: a repeat adds no constraint, only a
+        # singular Gram matrix, so the first of each is certified
+        first = {}
+        for x in sorted(start):
+            first.setdefault((*cen[x].tolist(), float(off[x])), x)
+        hit = _certify_subset(list(first.values()), cen, off)
+        if hit is not None:
+            return hit
     basis = [int(np.argmax(off))]
     f, y = float(off[basis[0]]), cen[basis[0]]
-    limit = 8 * ens.n + 32
+    limit = 8 * len(off) + 32
     for pivots in range(limit + 1):
         vals = off + np.linalg.norm(cen - y, axis=1)
         j = int(np.argmax(vals))
         if vals[j] <= f + _FEAS_SLACK:
-            return _assemble(ens, cen, off, f, y, tol)
+            return f, y
         hit = None if pivots == limit else _pivot(basis, j, cen, off)
         if hit is None:
             break
@@ -485,6 +497,34 @@ def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminatio
         f"enclosing ball not certified after {pivots} pivots; state {j} "
         f"still exceeds it by {vals[j] - f:.3e}"
     )
+
+
+def _pair_ball(cen: np.ndarray, off: np.ndarray):
+    """``(f, y)`` of the smallest ball enclosing two balls, in closed form:
+    the larger ball when it holds the other, else the ball touching both
+    along the line of their centers."""
+    diff = cen[1] - cen[0]
+    gap = float(np.linalg.norm(diff))
+    if gap <= abs(off[0] - off[1]) + 1e-15:
+        x = 0 if off[0] >= off[1] else 1
+        return float(off[x]), cen[x]
+    f = 0.5 * (gap + off[0] + off[1])
+    return f, cen[0] + (f - off[0]) * (diff / gap)
+
+
+def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
+    """Exact optimal discrimination of an arbitrary qubit ensemble.
+
+    The dual optimum is the smallest ball enclosing the balls ``B(q_x v_x /
+    2, q_x / 2)``, found by the basis improvement of ``_enclosing_ball``
+    from the ball of the largest prior; ``_assemble`` labels the states and
+    completes the measurement.  The private ``_enclosing_ball`` also takes
+    an optional start basis, which only the value-only re-solve of a
+    preservation verdict (``_optimal_value``) passes.  Raises
+    ConvergenceFailure when the pivots do not settle.
+    """
+    cen, off = _centers(ens)
+    return _assemble(ens, cen, off, *_enclosing_ball(cen, off), tol)
 
 
 def solve_two_state(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
@@ -497,14 +537,7 @@ def solve_two_state(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminat
     if ens.n != 2:
         raise WrongArity(f"two-state solver got {ens.n} states")
     cen, off = _centers(ens)
-    diff = cen[1] - cen[0]
-    gap = float(np.linalg.norm(diff))
-    if gap <= abs(off[0] - off[1]) + 1e-15:
-        x = 0 if off[0] >= off[1] else 1
-        return _assemble(ens, cen, off, float(off[x]), cen[x], tol)
-    f = 0.5 * (gap + off[0] + off[1])
-    y = cen[0] + (f - off[0]) * (diff / gap)
-    return _assemble(ens, cen, off, f, y, tol)
+    return _assemble(ens, cen, off, *_pair_ball(cen, off), tol)
 
 
 def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
@@ -513,6 +546,20 @@ def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolutio
     if ens.n == 2:
         return solve_two_state(ens, tol)
     return solve_general(ens, tol)
+
+
+def _optimal_value(ens: Ensemble, start=()) -> float:
+    """The guessing probability ``solve(ens).p_guess`` alone.
+
+    The same dispatch and the same certified ball, with no labels and no
+    measurement assembled.  ``start`` is a predicted basis, certified
+    before any pivot when it holds one to four states
+    (``_enclosing_ball``); a start that does not certify costs that one
+    certification, and the search then runs as in ``solve``.
+    """
+    cen, off = _centers(ens)
+    f, _ = _pair_ball(cen, off) if ens.n == 2 else _enclosing_ball(cen, off, start)
+    return 2.0 * float(f)
 
 
 def povm_value(ens: Ensemble, sol: DiscriminationSolution, weights=None) -> float:

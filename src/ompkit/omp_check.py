@@ -29,6 +29,7 @@ from .channels import CptpVerdict, QubitChannel, is_cptp_choi
 from .discrimination import (
     CaseTag,
     DiscriminationSolution,
+    _optimal_value,
     povm_value,
     solve,
     solve_two_state,
@@ -61,7 +62,9 @@ class OmpReport:
     ``residuals`` holds one Euclidean residual per state pair;
     ``r_bound_ok`` records whether the fitted degradation sits inside
     ``[0, min gap]`` up to tolerance.  ``p_guess_after`` is the re-solved
-    guessing probability of the transformed ensemble.
+    guessing probability of the transformed ensemble: its optimum alone,
+    certified from the measurement's index set as the start basis when
+    that holds at most four states.
     """
 
     is_omp: bool
@@ -101,16 +104,17 @@ def _require_cptp(channel: QubitChannel, tol: Tolerances):
         raise ChannelNotCPTP("channel fails the Choi positivity test")
 
 
-def _resolve_mapped(ens: Ensemble, channel: QubitChannel, tol: Tolerances):
-    """The ensemble ``channel`` makes of ``ens``, and its re-solve."""
+def _resolve_mapped(ens: Ensemble, channel: QubitChannel, index_set, tol: Tolerances):
+    """The ensemble ``channel`` makes of ``ens``, and its guessing
+    probability, re-solved from ``index_set`` as the predicted basis."""
     # CPTP keeps outputs inside the ball up to roundoff; widen the guard
     out_tol = Tolerances(10.0 * tol.psd_tol, tol.rank_tol, tol.match_tol)
     mapped = ens.blochs @ channel.matrix.T + channel.shift
     after_ens = make_ensemble(zip(ens.priors, mapped), out_tol)
-    return after_ens, solve(after_ens, tol)
+    return after_ens, _optimal_value(after_ens, index_set)
 
 
-def _cross_validate(sol, after_ens, after_sol, delta, tol, weights) -> None:
+def _cross_validate(sol, after_ens, p_after, delta, tol, weights) -> None:
     """Confirm a positive verdict against the re-solved transformed ensemble.
 
     The optimum must drop by exactly ``delta``, and the preserved
@@ -118,7 +122,7 @@ def _cross_validate(sol, after_ens, after_sol, delta, tol, weights) -> None:
     Either margin above ``10 match_tol`` raises ConsistencyError.
     """
     bound = 10.0 * tol.match_tol
-    drop = sol.p_guess - after_sol.p_guess
+    drop = sol.p_guess - p_after
     miss = abs(delta - drop)
     if miss > bound:
         raise ConsistencyError(
@@ -126,32 +130,33 @@ def _cross_validate(sol, after_ens, after_sol, delta, tol, weights) -> None:
             f"{drop:.3e}: margin {miss:.3e} exceeds {bound:.1e}"
         )
     value = povm_value(after_ens, sol, weights)
-    miss = abs(value - after_sol.p_guess)
+    miss = abs(value - p_after)
     if miss > bound:
         raise ConsistencyError(
             "preserved measurement is not optimal for the transformed "
-            f"ensemble: {value:.12g} vs {after_sol.p_guess:.12g}: margin "
+            f"ensemble: {value:.12g} vs {p_after:.12g}: margin "
             f"{miss:.3e} exceeds {bound:.1e}"
         )
 
 
-def _dominates_left_out(ens, sol, index_set, mapped, delta, tol) -> bool:
-    """Whether ``K' = q_a N(rho_a) + (r_a - delta) sigma_a`` dominates every
-    weighted state left out of ``index_set``, ``K' >= q_x N(rho_x)`` to
-    ``psd_tol`` (the Yuen-Kennedy-Lax / Holevo condition).
+def _left_out_low(ens, sol, index_set, mapped, delta) -> np.ndarray:
+    """Smallest eigenvalue of ``K' - q_x N(rho_x)``, with ``K' = q_a N(rho_a)
+    + (r_a - delta) sigma_a``, for every state ``x`` left out of
+    ``index_set``, in increasing order of ``x``.  ``K'`` dominates them all
+    (the Yuen-Kennedy-Lax / Holevo condition) when none is below
+    ``-psd_tol``.
 
-    ``mapped`` holds the channel's image of every Bloch vector.  The test is
-    the closed-form smallest eigenvalue: beta is twice the Bloch vector of
-    the difference, and ``alpha I + b.sigma`` has smallest eigenvalue
-    ``alpha - |b|``.
+    ``mapped`` holds the channel's image of every Bloch vector.  The
+    closed form: beta is twice the Bloch vector of the difference, and
+    ``alpha I + b.sigma`` has smallest eigenvalue ``alpha - |b|``.
     """
     a1 = min(index_set)
-    out = np.setdiff1d(np.arange(ens.n), index_set)
+    out = np.ones(ens.n, dtype=bool)
+    out[list(index_set)] = False
     beta = ens.priors[a1] * mapped[a1] + (sol.gaps[a1] - delta) * sol.comp_states[a1]
-    low = 0.5 * (sol.p_guess - delta - ens.priors[out]) - 0.5 * np.linalg.norm(
+    return 0.5 * (sol.p_guess - delta - ens.priors[out]) - 0.5 * np.linalg.norm(
         beta - ens.priors[out, None] * mapped[out], axis=1
     )
-    return bool(np.all(low >= -tol.psd_tol))
 
 
 def _fit_degradation(system: OmpSystem, channel: QubitChannel):
@@ -173,16 +178,23 @@ def _verdict(
     system: OmpSystem, channel: QubitChannel, tol: Tolerances, fit=None
 ) -> OmpReport:
     """check_omp's verdict on a validated measurement, ``channel`` CPTP;
-    ``fit`` is ``_fit_degradation(system, channel)`` if the caller has it."""
+    ``fit`` is ``_fit_degradation(system, channel)`` if the caller has it.
+
+    The re-solve of the transformed ensemble is value-only and starts from
+    the system's index set: a preserved measurement predicts the new
+    optimum's basis, and the solver's own certificate, unchanged, accepts
+    it or the search runs as from any other start.
+    """
     ens, sol, index_set = system.ensemble, system.solution, system.index_set
     delta, residuals = fit or _fit_degradation(system, channel)
     min_gap = float(np.min(sol.gaps[list(index_set)]))
     r_bound_ok = -tol.match_tol <= delta <= min_gap + tol.match_tol
-    after_ens, after_sol = _resolve_mapped(ens, channel, tol)
-    dominated = _dominates_left_out(ens, sol, index_set, after_ens.blochs, delta, tol)
+    after_ens, p_after = _resolve_mapped(ens, channel, index_set, tol)
+    low = _left_out_low(ens, sol, index_set, after_ens.blochs, delta)
+    dominated = bool(np.all(low >= -tol.psd_tol))
     is_omp = bool(np.max(residuals) <= tol.match_tol) and r_bound_ok and dominated
     if is_omp:
-        _cross_validate(sol, after_ens, after_sol, delta, tol, system.weights)
+        _cross_validate(sol, after_ens, p_after, delta, tol, system.weights)
     return OmpReport(
         is_omp=is_omp,
         delta=delta,
@@ -191,7 +203,7 @@ def _verdict(
         index_set=index_set,
         mode=Mode.STRONG if set(index_set) == set(sol.identified) else Mode.WEAK,
         p_guess_before=sol.p_guess,
-        p_guess_after=after_sol.p_guess,
+        p_guess_after=p_after,
     )
 
 
@@ -317,14 +329,11 @@ def check_pg_preserving(
     This is the zero-degradation condition over all pairs, identified or
     not; such channels keep the guessing probability exactly.
     """
-    # u_x - u_y is the pair (x, y) condition; keep every pair within tol
+    # u_y - u_x is the pair (x, y) condition; keep every pair within tol
     u = ens.priors[:, None] * (
         ens.blochs @ channel.matrix.T + channel.shift - ens.blochs
     )
-    return all(
-        np.all(np.linalg.norm(u[x + 1 :] - u[x], axis=1) <= tol.match_tol)
-        for x in range(ens.n - 1)
-    )
+    return bool(np.all(np.linalg.norm(u[None] - u[:, None], axis=2) <= tol.match_tol))
 
 
 def check_convex_mix(

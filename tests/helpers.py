@@ -6,13 +6,16 @@ library's own CPTP tests.  The completeness weights and the dual of the
 discrimination problem have brute-force oracles: a search over every
 support, and over every active subset of up to four states.  The guessing
 probability has a primal lower bound from random measurements, and exact
-guessing-probability preservation a test of every state pair.  The Choi
-operator has a loop-built oracle from the images of the matrix units, and
-the batched sieve a per-draw one.  The labelling of the states at the dual
-optimum and the value of a measurement have one-state-at-a-time loops.  The
-equal-prior and two-state preservation checks have closed forms of their
-own, fitted on the state differences and the weighted difference, and the
-rotation check a geometric one, from the rotation axis.
+guessing-probability preservation a test of every state pair and the former
+per-state loop.  The Choi operator has a loop-built oracle from the images
+of the matrix units, and the batched sieve a per-draw one.  The labelling
+of the states at the dual optimum and the value of a measurement have
+one-state-at-a-time loops, and the dominance of left-out states its former
+``setdiff1d`` form.  The equal-prior and two-state preservation checks have
+closed forms of their own, fitted on the state differences and the weighted
+difference, and the rotation check a geometric one, from the rotation axis.
+The re-solve of a transformed ensemble is confirmed cold, by the public
+``solve``.
 """
 
 import itertools
@@ -36,7 +39,6 @@ from ompkit.omp_check import (
     EquiprobableReport,
     TwoStateReport,
     _require_cptp,
-    _resolve_mapped,
     check_omp,
 )
 from ompkit.omp_construct import SieveSample, unpack
@@ -271,6 +273,29 @@ def pairwise_pg_preserving(ens: Ensemble, channel: QubitChannel, tol: Tolerances
     return True
 
 
+def loop_pg_preserving(ens: Ensemble, channel: QubitChannel, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Test oracle for ``check_pg_preserving``: its former body, one loop
+    step per state against every later state."""
+    u = ens.priors[:, None] * (
+        ens.blochs @ channel.matrix.T + channel.shift - ens.blochs
+    )
+    return all(
+        np.all(np.linalg.norm(u[x + 1 :] - u[x], axis=1) <= tol.match_tol)
+        for x in range(ens.n - 1)
+    )
+
+
+def setdiff_left_out_low(ens: Ensemble, sol, index_set, mapped: np.ndarray, delta: float) -> np.ndarray:
+    """Test oracle for ``omp_check._left_out_low``: its former body, the
+    left-out states taken by ``np.setdiff1d``."""
+    a1 = min(index_set)
+    out = np.setdiff1d(np.arange(ens.n), index_set)
+    beta = ens.priors[a1] * mapped[a1] + (sol.gaps[a1] - delta) * sol.comp_states[a1]
+    return 0.5 * (sol.p_guess - delta - ens.priors[out]) - 0.5 * np.linalg.norm(
+        beta - ens.priors[out, None] * mapped[out], axis=1
+    )
+
+
 def loop_choi_matrix(channel: QubitChannel) -> np.ndarray:
     """Test oracle for the Choi operator: sum of ``Phi(E_ab) (x) E_ab``.
 
@@ -354,9 +379,17 @@ def loop_povm_value(ens: Ensemble, sol, weights=None) -> float:
     return float(total)
 
 
+def mapped_ensemble(ens: Ensemble, channel: QubitChannel, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
+    """The ensemble ``channel`` makes of ``ens``, one state at a time, with
+    the roundoff guard of the verdict's re-solve."""
+    out_tol = Tolerances(10.0 * tol.psd_tol, tol.rank_tol, tol.match_tol)
+    return make_ensemble([(q, channel.apply(v)) for q, v in zip(ens.priors, ens.blochs)], out_tol)
+
+
 def _confirm_drop(ens: Ensemble, channel: QubitChannel, sol, delta: float, tol: Tolerances) -> None:
-    """Re-solve the mapped ensemble: its optimum must drop by ``delta``."""
-    drop = sol.p_guess - _resolve_mapped(ens, channel, tol)[1].p_guess
+    """Re-solve the mapped ensemble cold, with the public ``solve`` and none
+    of the verdict's warm start: its optimum must drop by ``delta``."""
+    drop = sol.p_guess - solve(mapped_ensemble(ens, channel, tol), tol).p_guess
     if abs(delta - drop) > 10.0 * tol.match_tol:
         raise ConsistencyError(f"degradation {delta:.3e} disagrees with drop {drop:.3e}")
 

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ompkit import discrimination
 from ompkit.bloch import Tolerances, eigen2
+from ompkit.channels import choi_min_eigenvalues, depolarizing_channel, unitary_channel
 from ompkit.discrimination import (
     CaseTag,
     _assemble,
     _centers,
     _min_norm_weights,
+    _optimal_value,
     povm_value,
     povm_weights,
     solve,
@@ -23,17 +25,21 @@ from ompkit.errors import (
     ConvergenceFailure,
     IndexOutOfRange,
     InfeasibleCompleteness,
+    OmpkitError,
     WrongArity,
     WrongLength,
 )
 from ompkit.fileio import bundled_ensemble
+from ompkit.omp_construct import DELTA_COORD, family_for, unpack
 
 from helpers import (
     enumerated_enclosing_ball,
     enumerated_min_norm_weights,
     loop_assemble,
     loop_povm_value,
+    mapped_ensemble,
     oracle_random_search,
+    random_cptp_channel,
     random_ensemble,
 )
 
@@ -483,6 +489,66 @@ def test_assembly_matches_loop_on_degenerate_ensembles(ens):
         # the tiny-prior certification gap, covered by the enumeration test
         return
     _assert_matches_loop(ens, sol)
+
+
+def _family_member(ens, sol, rng):
+    """A completely positive member of the family of ``ens`` with its
+    degradation in the window, and the family's index set; None if the
+    family fails or 64 draws at box 0.5 find none."""
+    try:
+        fam = family_for(ens, sol)
+    except OmpkitError:
+        return None
+    members = fam.particular + (fam.null_basis @ rng.uniform(-0.5, 0.5, (fam.dim, 64))).T
+    gap = float(np.min(sol.gaps[list(fam.system.index_set)]))
+    ok = (members[:, DELTA_COORD] >= 0.0) & (members[:, DELTA_COORD] <= gap)
+    ok &= choi_min_eigenvalues(members[:, :DELTA_COORD]) >= -TOL.psd_tol
+    if not ok.any():
+        return None
+    return unpack(members[np.argmax(ok)])[0], fam.system.index_set
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    degenerate_ensembles(),
+    st.sampled_from(["rotation", "depolarizing", "cptp", "member"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(
+    # the start names one ball twice; certified as given, that singular
+    # system puts the value 4.2e-10 above the cold one (the 1e-7 prior makes
+    # the certification ill-conditioned)
+    make_ensemble([(1e-7, (1, 0, 0))] + [((1 - 1e-7) / 2, np.array([0, 1, 1]) / np.sqrt(2))] * 2),
+    "rotation",
+    0,
+)
+def test_warm_value_matches_cold_solve(ens, kind, seed):
+    # the verdict's re-solve starts from the measurement's index set; where
+    # the public, cold solve succeeds it must succeed too, at the same value
+    try:
+        sol = solve(ens)
+    except ConvergenceFailure:
+        return
+    rng = np.random.default_rng(seed)
+    start = sol.identified
+    if kind == "rotation":
+        axis = rng.normal(size=3)
+        channel = unitary_channel(axis / np.linalg.norm(axis), rng.uniform(0.0, 2.0 * np.pi))
+    elif kind == "depolarizing":
+        channel = depolarizing_channel(rng.uniform(0.0, 1.0))
+    elif kind == "cptp":
+        channel = random_cptp_channel(rng)
+    else:
+        found = _family_member(ens, sol, rng)
+        if found is None:
+            return
+        channel, start = found
+    after = mapped_ensemble(ens, channel)
+    try:
+        cold = solve(after).p_guess
+    except (ConvergenceFailure, InfeasibleCompleteness):
+        return
+    assert abs(_optimal_value(after, start) - cold) <= 1e-14
 
 
 @st.composite

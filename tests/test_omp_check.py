@@ -50,6 +50,7 @@ from helpers import (
     closed_form_equiprobable,
     closed_form_two_state,
     closed_form_unitary,
+    loop_pg_preserving,
     pairwise_pg_preserving,
     random_cptp_channel,
     random_ensemble,
@@ -431,35 +432,39 @@ def test_pg_preserving():
 
 
 def test_pg_preserving_matches_pairwise_oracle():
-    rng = np.random.default_rng(31)
+    # 600 pairs, the first 300 from seed 31; the broadcast test must also
+    # give the verdict of its former per-state loop
     verdicts = []
-    for kind in range(5):
-        for _ in range(60):
-            n = int(rng.integers(2, 7))
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            if kind == 0:
-                # states on the rotation axis stay put
-                ens = make_ensemble(
-                    zip(rng.dirichlet(np.ones(n)), np.outer(rng.uniform(-1, 1, n), axis))
-                )
-            else:
-                ens = random_ensemble(rng, n)
-            if kind in (0, 1):
-                channel = unitary_channel(axis, float(rng.uniform(0, np.pi)))
-            elif kind == 2:
-                channel = identity_channel()
-            elif kind == 3:
-                channel = random_cptp_channel(rng)
-            else:
-                # near the tolerance: a perturbed identity, not a channel
-                eps = 10.0 ** rng.uniform(-11, -5)
-                channel = QubitChannel(
-                    np.eye(3) + eps * rng.normal(size=(3, 3)), eps * rng.normal(size=3)
-                )
-            verdict = check_pg_preserving(ens, channel)
-            assert verdict is pairwise_pg_preserving(ens, channel)
-            verdicts.append((kind, n, verdict))
+    for seed in (31, 37):
+        rng = np.random.default_rng(seed)
+        for kind in range(5):
+            for _ in range(60):
+                n = int(rng.integers(2, 7))
+                axis = rng.normal(size=3)
+                axis /= np.linalg.norm(axis)
+                if kind == 0:
+                    # states on the rotation axis stay put
+                    ens = make_ensemble(
+                        zip(rng.dirichlet(np.ones(n)), np.outer(rng.uniform(-1, 1, n), axis))
+                    )
+                else:
+                    ens = random_ensemble(rng, n)
+                if kind in (0, 1):
+                    channel = unitary_channel(axis, float(rng.uniform(0, np.pi)))
+                elif kind == 2:
+                    channel = identity_channel()
+                elif kind == 3:
+                    channel = random_cptp_channel(rng)
+                else:
+                    # near the tolerance: a perturbed identity, not a channel
+                    eps = 10.0 ** rng.uniform(-11, -5)
+                    channel = QubitChannel(
+                        np.eye(3) + eps * rng.normal(size=(3, 3)), eps * rng.normal(size=3)
+                    )
+                verdict = check_pg_preserving(ens, channel)
+                assert verdict is pairwise_pg_preserving(ens, channel)
+                assert verdict is loop_pg_preserving(ens, channel)
+                verdicts.append((kind, n, verdict))
     assert any(v and n >= 3 for kind, n, v in verdicts if kind == 0)
     assert any(v for kind, n, v in verdicts if kind == 4)
     assert any(not v for kind, n, v in verdicts if kind == 4)
@@ -508,23 +513,25 @@ def test_convex_mix_blends_degradation():
     ],
 )
 def test_cross_validation_states_its_margin(monkeypatch, name, target):
-    # the re-solve or the preserved value is made to miss by 1e-6, ten times
-    # the bound; the solution is passed in, so only the re-solve is patched
+    # the re-solved optimum or the preserved value is made to miss by 1e-6,
+    # ten times the bound; "solve" patches the value-only re-solve, which
+    # alone computes the optimum of the mapped ensemble
     if name == "check_two_state":
         pair = make_ensemble([(0.7, (0, 0, 1)), (0.3, (0, 0, -1))])
         args = (pair, depolarizing_channel(0.4))
     else:
         ens = bundled_ensemble("bb84" if name == "check_omp" else "three_mubs")
         args = (ens, depolarizing_channel(0.2), solve(ens))
-    real = getattr(omp_check, target)
+    attr = "_resolve_mapped" if target == "solve" else target
+    real = getattr(omp_check, attr)
 
     def lowered(*a):
         out = real(*a)
         if target == "solve":
-            return dataclasses.replace(out, p_guess=out.p_guess - 1e-6)
+            return out[0], out[1] - 1e-6
         return out - 1e-6
 
-    monkeypatch.setattr(omp_check, target, lowered)
+    monkeypatch.setattr(omp_check, attr, lowered)
     with pytest.raises(ConsistencyError, match=r"margin 1\.000e-06 exceeds 1\.0e-07"):
         getattr(omp_check, name)(*args)
 

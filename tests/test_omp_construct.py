@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from ompkit import channels, omp_check, omp_construct
+from ompkit import channels, discrimination, omp_check, omp_construct
 from ompkit.bloch import Tolerances, pinv
 from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi, unitary_channel
 from ompkit.discrimination import solve
@@ -37,7 +37,13 @@ from ompkit.omp_construct import (
     unpack,
 )
 
-from helpers import LEFT_OUT_SIEVE, UNIDENTIFIED_FOURTH, per_draw_sieve, random_ensemble
+from helpers import (
+    LEFT_OUT_SIEVE,
+    UNIDENTIFIED_FOURTH,
+    per_draw_sieve,
+    random_ensemble,
+    setdiff_left_out_low,
+)
 
 
 def test_pack_unpack_round_trip():
@@ -288,6 +294,54 @@ def test_sieve_drops_undominated_member():
     kept = sieve_admissible(family_for(ens), count=24, seed=0, box=0.5)
     assert len(kept) == 1
     assert check_omp(ens, kept[0].channel).is_omp
+
+
+def test_left_out_low_matches_setdiff_oracle():
+    # the boolean mask of the left-out states gives the former setdiff1d
+    # margins bit for bit on every member drawn, kept or not
+    ens = make_ensemble(LEFT_OUT_SIEVE)
+    fam = family_for(ens)
+    sol, index_set = fam.system.solution, fam.system.index_set
+    rng = np.random.default_rng(5)
+    for box in (0.5, 2.0):
+        for c in rng.uniform(-box, box, size=(200, fam.dim)):
+            channel, delta = unpack(fam.particular + fam.null_basis @ c)
+            mapped = ens.blochs @ channel.matrix.T + channel.shift
+            want = setdiff_left_out_low(ens, sol, index_set, mapped, delta)
+            got = omp_check._left_out_low(ens, sol, index_set, mapped, delta)
+            assert want.shape == (2,)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_warm_resolve_certifies_kept_members_once(monkeypatch):
+    # a kept member preserves the measurement, so sic's four states are the
+    # basis of the new optimum: its re-solve is one certification of that
+    # start and assembles no solution
+    fam = family_for(bundled_ensemble("sic"))
+    calls, kept_calls = [], []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_certify_subset", "_assemble"):
+        monkeypatch.setattr(discrimination, name, counted(getattr(discrimination, name)))
+    real_verdict = omp_check._verdict
+
+    def verdict(*args):
+        calls.clear()
+        report = real_verdict(*args)
+        if report.is_omp:
+            kept_calls.append(list(calls))
+        return report
+
+    monkeypatch.setattr(omp_check, "_verdict", verdict)
+    kept = sieve_admissible(fam, count=200, seed=0, box=0.5)
+    assert len(kept) == len(kept_calls) >= 50
+    assert all(c == ["_certify_subset"] for c in kept_calls)
 
 
 def test_sieve_guard_states_residual():
