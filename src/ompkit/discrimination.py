@@ -520,7 +520,7 @@ def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminatio
     from the ball of the largest prior; ``_assemble`` labels the states and
     completes the measurement.  The private ``_enclosing_ball`` also takes
     an optional start basis, which only the value-only re-solve of a
-    preservation verdict (``_optimal_value``) passes.  Raises
+    negative preservation verdict (``_optimal_value``) passes.  Raises
     ConvergenceFailure when the pivots do not settle.
     """
     cen, off = _centers(ens)
@@ -549,13 +549,13 @@ def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolutio
 
 
 def _optimal_value(ens: Ensemble, start=()) -> float:
-    """The guessing probability ``solve(ens).p_guess`` alone.
+    """The guessing probability ``solve(ens).p_guess`` alone, which a
+    negative preservation verdict reports.
 
     The same dispatch and the same certified ball, with no labels and no
-    measurement assembled.  ``start`` is a predicted basis, certified
-    before any pivot when it holds one to four states
-    (``_enclosing_ball``); a start that does not certify costs that one
-    certification, and the search then runs as in ``solve``.
+    measurement assembled.  ``start``, a predicted basis of one to four
+    states, is certified before any pivot (``_enclosing_ball``); if it is
+    not, the search runs as in ``solve``.
     """
     cen, off = _centers(ens)
     f, _ = _pair_ball(cen, off) if ens.n == 2 else _enclosing_ball(cen, off, start)

@@ -9,12 +9,12 @@ omp_construct's ``build_system``, the linear system solved for the family,
 fits the scalar by least squares, and decides from the residuals, the gap
 bound and dominance.  Every other check is one reading of that verdict on
 one system: the family's sieve on the family's own system, the equiprobable
-and two-state checks as a contraction ratio and a scale, with a positive
-ratio for equal priors, the rotation check as its verdict on a rotation,
-and the convex-mix check as its verdict on both inputs and on the blend.
-Every positive verdict is cross-validated by one routine that re-solves the
-transformed ensemble, so a positive answer is always backed by two
-independent computations.
+and two-state checks as a contraction ratio and a scale, the rotation check
+as its verdict on a rotation, and the convex-mix check as its verdict on
+both inputs and on the blend.
+A positive verdict is its own certificate: its symmetry operator is
+dual-feasible for the transformed ensemble, and the preserved measurement
+must attain its trace there, so no solver runs.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ class OmpReport:
 
     ``residuals`` holds one Euclidean residual per state pair;
     ``r_bound_ok`` records whether the fitted degradation sits inside
-    ``[0, min gap]`` up to tolerance.  ``p_guess_after`` is the re-solved
-    guessing probability of the transformed ensemble: its optimum alone,
-    certified from the measurement's index set as the start basis when
-    that holds at most four states.
+    ``[0, min gap]`` up to tolerance.  ``p_guess_after`` is the transformed
+    ensemble's optimum: ``p_guess_before - delta``, certified, on a positive
+    verdict, and its value-only re-solve on a negative one.
     """
 
     is_omp: bool
@@ -104,39 +103,32 @@ def _require_cptp(channel: QubitChannel, tol: Tolerances):
         raise ChannelNotCPTP("channel fails the Choi positivity test")
 
 
-def _resolve_mapped(ens: Ensemble, channel: QubitChannel, index_set, tol: Tolerances):
-    """The ensemble ``channel`` makes of ``ens``, and its guessing
-    probability, re-solved from ``index_set`` as the predicted basis."""
+def _mapped_ensemble(ens: Ensemble, channel: QubitChannel, tol: Tolerances) -> Ensemble:
+    """The ensemble ``channel`` makes of ``ens``."""
     # CPTP keeps outputs inside the ball up to roundoff; widen the guard
     out_tol = Tolerances(10.0 * tol.psd_tol, tol.rank_tol, tol.match_tol)
     mapped = ens.blochs @ channel.matrix.T + channel.shift
-    after_ens = make_ensemble(zip(ens.priors, mapped), out_tol)
-    return after_ens, _optimal_value(after_ens, index_set)
+    return make_ensemble(zip(ens.priors, mapped), out_tol)
 
 
-def _cross_validate(sol, after_ens, p_after, delta, tol, weights) -> None:
-    """Confirm a positive verdict against the re-solved transformed ensemble.
+def _cross_validate(sol, after_ens, delta, tol, weights) -> float:
+    """The optimum ``tr K' = p_guess - delta`` of the transformed ensemble
+    under a positive verdict, which makes ``K'`` dual-feasible there.
 
-    The optimum must drop by exactly ``delta``, and the preserved
-    measurement, with completeness ``weights``, must attain the new optimum.
-    Either margin above ``10 match_tol`` raises ConsistencyError.
+    The preserved measurement, with completeness ``weights``, must attain
+    it to ``10 match_tol``, else ConsistencyError.
     """
     bound = 10.0 * tol.match_tol
-    drop = sol.p_guess - p_after
-    miss = abs(delta - drop)
-    if miss > bound:
-        raise ConsistencyError(
-            f"degradation {delta:.3e} disagrees with re-solved drop "
-            f"{drop:.3e}: margin {miss:.3e} exceeds {bound:.1e}"
-        )
+    upper = sol.p_guess - delta
     value = povm_value(after_ens, sol, weights)
-    miss = abs(value - p_after)
+    miss = abs(value - upper)
     if miss > bound:
         raise ConsistencyError(
             "preserved measurement is not optimal for the transformed "
-            f"ensemble: {value:.12g} vs {p_after:.12g}: margin "
+            f"ensemble: {value:.12g} vs {upper:.12g}: margin "
             f"{miss:.3e} exceeds {bound:.1e}"
         )
+    return upper
 
 
 def _left_out_low(ens, sol, index_set, mapped, delta) -> np.ndarray:
@@ -180,21 +172,22 @@ def _verdict(
     """check_omp's verdict on a validated measurement, ``channel`` CPTP;
     ``fit`` is ``_fit_degradation(system, channel)`` if the caller has it.
 
-    The re-solve of the transformed ensemble is value-only and starts from
-    the system's index set: a preserved measurement predicts the new
-    optimum's basis, and the solver's own certificate, unchanged, accepts
-    it or the search runs as from any other start.
+    A positive verdict reads the new optimum off its certificate
+    (``_cross_validate``); only a negative one re-solves, value-only and
+    warm-started from the system's index set.
     """
     ens, sol, index_set = system.ensemble, system.solution, system.index_set
     delta, residuals = fit or _fit_degradation(system, channel)
     min_gap = float(np.min(sol.gaps[list(index_set)]))
     r_bound_ok = -tol.match_tol <= delta <= min_gap + tol.match_tol
-    after_ens, p_after = _resolve_mapped(ens, channel, index_set, tol)
+    after_ens = _mapped_ensemble(ens, channel, tol)
     low = _left_out_low(ens, sol, index_set, after_ens.blochs, delta)
     dominated = bool(np.all(low >= -tol.psd_tol))
     is_omp = bool(np.max(residuals) <= tol.match_tol) and r_bound_ok and dominated
     if is_omp:
-        _cross_validate(sol, after_ens, p_after, delta, tol, system.weights)
+        p_after = _cross_validate(sol, after_ens, delta, tol, system.weights)
+    else:
+        p_after = _optimal_value(after_ens, index_set)
     return OmpReport(
         is_omp=is_omp,
         delta=delta,
@@ -228,9 +221,9 @@ def check_omp(
     operator of the transformed ensemble; the verdict is positive only if
     ``K'`` also dominates every weighted state left out of the index set.
 
-    A positive verdict is cross-validated: the transformed ensemble is
-    re-solved and both the degradation identity and the optimality of the
-    preserved measurement must hold, else ConsistencyError.
+    A positive verdict makes ``K'`` dual-feasible, so ``p_guess_after = tr
+    K' = p_guess - delta`` bounds the new optimum from above; the preserved
+    measurement must attain it, else ConsistencyError.  No solver runs.
     """
     _require_cptp(channel, tol)
     if sol is None:
@@ -250,8 +243,9 @@ def check_equiprobable(
     ``d`` an eigenvector, ``D d = kappa d``, with one ratio for all pairs;
     the shift drops out.  The degradation is ``(1 - kappa) * (p_guess -
     1/n)`` and ``residual`` the largest ``|D d - kappa d|``.  The verdict is
-    check_omp's plus ``kappa > 0``, tested first, so a channel that
-    collapses the differences is refused without a re-solve.
+    check_omp's, whose degradation window is ``kappa >= -match_tol /
+    (p_guess - 1/n)``; that bound is tested first, so a channel beyond it
+    is refused without the re-solve of a negative verdict.
     """
     _require_cptp(channel, tol)
     if np.ptp(ens.priors) > tol.match_tol:
@@ -262,7 +256,8 @@ def check_equiprobable(
     fit = _fit_degradation(system, channel)
     delta, residuals = fit
     kappa = 1.0 - delta / (sol.p_guess - 1.0 / ens.n)
-    is_omp = kappa > 0.0 and _verdict(system, channel, tol, fit).is_omp
+    in_window = delta <= sol.p_guess - 1.0 / ens.n + tol.match_tol
+    is_omp = in_window and _verdict(system, channel, tol, fit).is_omp
     return EquiprobableReport(is_omp, kappa, delta, ens.n * float(np.max(residuals)))
 
 

@@ -104,8 +104,8 @@ EQUIPROBABLE_LEFT_OUT = [
 # mapped states agree to a few 1e-9 and the degradation sits within 1e-9 of
 # the min gap 0.25: a member of bb84's family, and a strong contraction.
 # The pairwise residuals are below 2e-10 and nothing is left out, so the
-# measurement is preserved, but the re-solve of the mapped ensemble raises
-# ConvergenceFailure (ROADMAP item 1)
+# measurement is preserved, but a re-solve of the mapped ensemble raises
+# ConvergenceFailure (ROADMAP item 3)
 BB84_FAMILY_END = {
     "D": [
         [2.6562758490174254e-09, 9.7347687030506086e-03, 2.7755575615628914e-17],
@@ -381,7 +381,7 @@ def loop_povm_value(ens: Ensemble, sol, weights=None) -> float:
 
 def mapped_ensemble(ens: Ensemble, channel: QubitChannel, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """The ensemble ``channel`` makes of ``ens``, one state at a time, with
-    the roundoff guard of the verdict's re-solve."""
+    the roundoff guard of the verdict's own."""
     out_tol = Tolerances(10.0 * tol.psd_tol, tol.rank_tol, tol.match_tol)
     return make_ensemble([(q, channel.apply(v)) for q, v in zip(ens.priors, ens.blochs)], out_tol)
 

@@ -179,10 +179,10 @@ def test_solve_json_identified_are_plain_ints(tmp_path, capsys, states):
     assert rep["case_tags"] == [tag.value for tag in sol.case_tags]
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceFailure, reason="ROADMAP item 1")
 def test_check_family_end_member_exit_0(tmp_path, capsys):
     # a strictly CPTP member of bb84's family with degradation 6.6e-10 below
-    # the min gap: the re-solve fails certification, so check exits 4
+    # the min gap: a re-solve of the mapped states fails certification
+    # (exit 4), so the positive verdict must not re-solve
     epath = ensemble_file(tmp_path, "bb84")
     cpath = channel_file(tmp_path, BB84_FAMILY_END)
     assert check_omp(load_ensemble(epath), load_channel(cpath)).is_omp

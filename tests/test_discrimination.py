@@ -26,11 +26,13 @@ from ompkit.errors import (
     IndexOutOfRange,
     InfeasibleCompleteness,
     OmpkitError,
+    PairSetTooSmall,
     WrongArity,
     WrongLength,
 )
 from ompkit.fileio import bundled_ensemble
-from ompkit.omp_construct import DELTA_COORD, family_for, unpack
+from ompkit.omp_check import check_omp
+from ompkit.omp_construct import DELTA_COORD, build_system, family_for, unpack
 
 from helpers import (
     enumerated_enclosing_ball,
@@ -268,7 +270,7 @@ def test_ten_thousand_states_certify():
 @pytest.mark.xfail(
     strict=True,
     raises=InfeasibleCompleteness,
-    reason="ROADMAP item 1: tiny-prior pair, least residual 1.113e-08 > match_tol",
+    reason="ROADMAP item 3: tiny-prior pair, least residual 1.113e-08 > match_tol",
 )
 def test_tiny_prior_pair_solves():
     # the dominant state's gap sits just above psd_tol and its complementary
@@ -508,12 +510,25 @@ def _family_member(ens, sol, rng):
     return unpack(members[np.argmax(ok)])[0], fam.system.index_set
 
 
+def _draw_channel(ens, sol, kind, rng):
+    """A CPTP channel of ``kind`` and the index set to test it on (None for
+    the maximal one); None if ``kind`` is a family member and none is
+    found."""
+    if kind == "rotation":
+        axis = rng.normal(size=3)
+        return unitary_channel(axis / np.linalg.norm(axis), rng.uniform(0.0, 2.0 * np.pi)), None
+    if kind == "depolarizing":
+        return depolarizing_channel(rng.uniform(0.0, 1.0)), None
+    if kind == "cptp":
+        return random_cptp_channel(rng), None
+    return _family_member(ens, sol, rng)
+
+
+_CHANNEL_KINDS = st.sampled_from(["rotation", "depolarizing", "cptp", "member"])
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    degenerate_ensembles(),
-    st.sampled_from(["rotation", "depolarizing", "cptp", "member"]),
-    st.integers(0, 2**32 - 1),
-)
+@given(degenerate_ensembles(), _CHANNEL_KINDS, st.integers(0, 2**32 - 1))
 @example(
     # the start names one ball twice; certified as given, that singular
     # system puts the value 4.2e-10 above the cold one (the 1e-7 prior makes
@@ -523,32 +538,86 @@ def _family_member(ens, sol, rng):
     0,
 )
 def test_warm_value_matches_cold_solve(ens, kind, seed):
-    # the verdict's re-solve starts from the measurement's index set; where
-    # the public, cold solve succeeds it must succeed too, at the same value
+    # a negative verdict's re-solve starts from the measurement's index set;
+    # where the public, cold solve succeeds it must succeed too, at the same
+    # value
     try:
         sol = solve(ens)
     except ConvergenceFailure:
         return
-    rng = np.random.default_rng(seed)
-    start = sol.identified
-    if kind == "rotation":
-        axis = rng.normal(size=3)
-        channel = unitary_channel(axis / np.linalg.norm(axis), rng.uniform(0.0, 2.0 * np.pi))
-    elif kind == "depolarizing":
-        channel = depolarizing_channel(rng.uniform(0.0, 1.0))
-    elif kind == "cptp":
-        channel = random_cptp_channel(rng)
-    else:
-        found = _family_member(ens, sol, rng)
-        if found is None:
-            return
-        channel, start = found
+    found = _draw_channel(ens, sol, kind, np.random.default_rng(seed))
+    if found is None:
+        return
+    channel, start = found
     after = mapped_ensemble(ens, channel)
     try:
         cold = solve(after).p_guess
     except (ConvergenceFailure, InfeasibleCompleteness):
         return
-    assert abs(_optimal_value(after, start) - cold) <= 1e-14
+    assert abs(_optimal_value(after, start or sol.identified) - cold) <= 1e-14
+
+
+def _cocircular():
+    """Priors (1, 1, 2, 2)/6 on the great circle through y and (x + z)/sqrt 2,
+    at angles (0, 4, 0, 1) pi/12.
+
+    The cold solve of the mapped states of its family member drawn from
+    ``default_rng(0)`` is 6.2e-10 above the value the preserved measurement
+    attains; in 50-digit arithmetic K' is feasible to -2e-17 and the
+    measurement attains tr K' = p_guess - delta to 3e-16.
+    """
+    th = np.array([0, 4, 0, 1]) * np.pi / 12.0
+    u, w = np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    blochs = np.cos(th)[:, None] * u + np.sin(th)[:, None] * w
+    return make_ensemble(list(zip(np.array([1, 1, 2, 2]) / 6.0, blochs)))
+
+
+_COCIRCULAR = _cocircular()
+
+
+def test_preserved_optimum_is_the_certified_bound():
+    ens = _COCIRCULAR
+    sol = solve(ens)
+    channel, index_set = _family_member(ens, sol, np.random.default_rng(0))
+    rep = check_omp(ens, channel, sol, index_set)
+    assert rep.is_omp
+    assert rep.p_guess_after == sol.p_guess - rep.delta
+    assert abs(rep.p_guess_after - povm_value(mapped_ensemble(ens, channel), sol)) <= 1e-14
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_ensembles(), _CHANNEL_KINDS, st.integers(0, 2**32 - 1))
+@example(_COCIRCULAR, "member", 0)
+def test_positive_verdict_brackets_the_new_optimum(ens, kind, seed):
+    # a positive verdict's p_guess_after is an upper bound on the mapped
+    # optimum that the preserved measurement attains; the cold solve's own
+    # measurement can do no better, and its dual value agrees to the bound
+    # of the verdict (not to 1e-12: it misses its own primal value by up to
+    # 6.2e-10, ROADMAP item 3)
+    try:
+        sol = solve(ens)
+    except ConvergenceFailure:
+        return
+    found = _draw_channel(ens, sol, kind, np.random.default_rng(seed))
+    if found is None:
+        return
+    channel, index_set = found
+    try:
+        rep = check_omp(ens, channel, sol, index_set)
+    except (InfeasibleCompleteness, PairSetTooSmall, ConvergenceFailure):
+        # no measurement to test, or the re-solve of a negative verdict
+        return
+    if not rep.is_omp:
+        return
+    after = mapped_ensemble(ens, channel)
+    weights = build_system(ens, sol, index_set).weights
+    assert abs(rep.p_guess_after - povm_value(after, sol, weights)) <= 1e-12
+    try:
+        cold = solve(after)
+    except (ConvergenceFailure, InfeasibleCompleteness):
+        return
+    assert rep.p_guess_after >= povm_value(after, cold) - 1e-12
+    assert abs(rep.p_guess_after - cold.p_guess) <= 10.0 * TOL.match_tol
 
 
 @st.composite

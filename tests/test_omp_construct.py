@@ -257,7 +257,7 @@ def test_sieve_soundness_and_determinism():
 
 def test_sieve_reuses_the_family_measurement(monkeypatch):
     # the index set, its weights and the linear system are the family's;
-    # only the per-member verdict, with its re-solve, runs per survivor
+    # only the per-member verdict runs per survivor
     fam = family_for(bundled_ensemble("three_mubs"))
     calls = []
 
@@ -313,10 +313,9 @@ def test_left_out_low_matches_setdiff_oracle():
             assert got.tobytes() == want.tobytes()
 
 
-def test_warm_resolve_certifies_kept_members_once(monkeypatch):
-    # a kept member preserves the measurement, so sic's four states are the
-    # basis of the new optimum: its re-solve is one certification of that
-    # start and assembles no solution
+def test_kept_members_run_no_solver(monkeypatch):
+    # a kept member preserves the measurement, so its verdict certifies the
+    # new optimum itself: no certification, no assembly and no re-solve
     fam = family_for(bundled_ensemble("sic"))
     calls, kept_calls = [], []
 
@@ -329,6 +328,7 @@ def test_warm_resolve_certifies_kept_members_once(monkeypatch):
 
     for name in ("_certify_subset", "_assemble"):
         monkeypatch.setattr(discrimination, name, counted(getattr(discrimination, name)))
+    monkeypatch.setattr(omp_check, "_optimal_value", counted(omp_check._optimal_value))
     real_verdict = omp_check._verdict
 
     def verdict(*args):
@@ -341,7 +341,7 @@ def test_warm_resolve_certifies_kept_members_once(monkeypatch):
     monkeypatch.setattr(omp_check, "_verdict", verdict)
     kept = sieve_admissible(fam, count=200, seed=0, box=0.5)
     assert len(kept) == len(kept_calls) >= 50
-    assert all(c == ["_certify_subset"] for c in kept_calls)
+    assert all(c == [] for c in kept_calls)
 
 
 def test_sieve_guard_states_residual():
