@@ -4,10 +4,12 @@ The dual of the discrimination problem asks for the Hermitian operator of
 least trace dominating every weighted state.  In Bloch coordinates that is a
 weighted smallest-enclosing-ball problem for the points ``q_x v_x / 2`` with
 additive offsets ``q_x / 2``; its optimal value is half the guessing
-probability.  ``solve_general`` solves it exactly by basis improvement, each
-basis of at most four states certified through the first-order conditions,
-so the result carries machine-precision optimality certificates rather than
-an iteration tolerance.
+probability.  ``solve_general`` solves it by basis improvement, each
+basis of at most four states certified through the first-order conditions
+to three absolute thresholds (equalities to 1e-9, convex multipliers above
+-1e-9 of their sum, no state beyond the ball by 1e-10), not to machine
+precision: near internally tangent balls a certified value can be off by
+about 1e-10 (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ class CaseTag(enum.Enum):
 
     PROJECTIVE_ELEMENT: the dual gap closes to a rank-1 operator, so the
     state can be detected by a weighted projector.  NEVER_IDENTIFIED: the gap
-    operator is definite and every optimal measurement ignores the state.
+    operator is definite, so every optimal measurement ignores the state, or
+    blind guessing is optimal and the state is not measured.
     NO_MEASUREMENT: the dual optimum coincides with the weighted state
     itself, so blind guessing is already optimal.
     """
@@ -89,24 +92,17 @@ def _centers(ens: Ensemble):
     return ens.blochs * (ens.priors[:, None] / 2.0), ens.priors / 2.0
 
 
-def _kkt_multipliers(units: np.ndarray):
-    """Least-squares convex multipliers for ``sum mu_i u_i = 0``."""
-    k = units.shape[0]
-    a = np.vstack([units.T, np.ones((1, k))])
-    rhs = np.concatenate([np.zeros(3), [1.0]])
-    mu, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    res = float(np.linalg.norm(a @ mu - rhs))
-    return mu, res
-
-
 def _certify_subset(idx, cen, off):
     """Solve the equal-value system on one subset and certify it, or None.
 
-    Active equalities pin ``y`` to an affine function of the common value;
-    the remaining quadratic closes the system.  A root is accepted only if
-    every equality holds to 1e-9, the convex multipliers exist with no
-    component below -1e-9, and no other state of ``cen, off`` exceeds the
-    value by more than 1e-10.  Returns ``(f, y)`` for the smallest such root.
+    Active equalities pin ``y = c_0 + z^T xi`` to an affine function of the
+    common value, with ``xi`` from one pseudo-inverse of the Gram matrix
+    ``z z^T``; the remaining quadratic closes the system.  The barycentric
+    coordinates ``(1 - sum xi, xi)`` of ``y``, scaled by the distances
+    ``|y - c_i|``, are the KKT multipliers, so that one solve also certifies.
+    A root is accepted only if every equality holds to 1e-9, no multiplier
+    is below -1e-9 of their sum, and no other state of ``cen, off`` exceeds
+    the value by more than 1e-10.  Returns ``(f, y)`` for the smallest root.
     """
     sub_c = cen[list(idx)]
     sub_o = off[list(idx)]
@@ -123,9 +119,11 @@ def _certify_subset(idx, cen, off):
     ) - z @ c0
     g = z @ z.T
     g_pinv = np.linalg.pinv(g, rcond=1e-12)
-    # y(f) = b + a f restricted to the affine hull of the subset centers
-    a_vec = z.T @ (g_pinv @ d_off)
-    b_vec = c0 + z.T @ (g_pinv @ h)
+    # y(f) = c0 + z^T (xi_b + f xi_a), in the affine hull of the centers
+    xi_a = g_pinv @ d_off
+    xi_b = g_pinv @ h
+    a_vec = z.T @ xi_a
+    b_vec = c0 + z.T @ xi_b
     qa = a_vec @ a_vec - 1.0
     qb = 2.0 * (a_vec @ (b_vec - c0) + o0)
     qc = (b_vec - c0) @ (b_vec - c0) - o0 * o0
@@ -142,14 +140,13 @@ def _certify_subset(idx, cen, off):
         if f < np.max(sub_o) - 1e-12:
             continue
         y = b_vec + a_vec * f
-        d = y - sub_c
-        dist = np.linalg.norm(d, axis=1)
+        dist = np.linalg.norm(y - sub_c, axis=1)
         if np.max(np.abs(sub_o + dist - f)) > _EQ_RES:
             continue
-        if np.min(dist) < 1e-15:
-            continue
-        mu, res = _kkt_multipliers(d / dist[:, None])
-        if res > _EQ_RES or np.min(mu) < -_MU_TOL:
+        # y = sum lam_i c_i with sum lam_i = 1, so sum lam_i (y - c_i) = 0
+        xi = xi_b + f * xi_a
+        mu = np.concatenate([[1.0 - xi.sum()], xi]) * dist
+        if np.min(mu) < -_MU_TOL * mu.sum():
             continue
         if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
             continue
@@ -379,9 +376,10 @@ def _assemble(ens: Ensemble, cen, off, f: float, y: np.ndarray, tol: Tolerances)
     labelled at once: a gap at or below ``psd_tol`` is NO_MEASUREMENT with a
     zero complementary state, otherwise the state is PROJECTIVE_ELEMENT when
     the smallest eigenvalue of its gap operator is at or below ``psd_tol``
-    and NEVER_IDENTIFIED above.  The weights are the least-norm completion
-    of the identified states, or all zero when a NO_MEASUREMENT state makes
-    blind guessing optimal.
+    and NEVER_IDENTIFIED above.  When a NO_MEASUREMENT state makes blind
+    guessing optimal, no state is identified, a tangent one included, and
+    the weights are all zero; otherwise they are the least-norm completion
+    of the identified states.
     """
     p_guess = 2.0 * float(f)
     gaps = p_guess - ens.priors
@@ -390,7 +388,7 @@ def _assemble(ens: Ensemble, cen, off, f: float, y: np.ndarray, tol: Tolerances)
     blind = gaps <= tol.psd_tol
     safe = np.where(blind, 1.0, gaps)
     comp = np.where(blind[:, None], 0.0, 2.0 * (y - cen) / safe[:, None])
-    code = np.where(blind, 2, lo > tol.psd_tol)
+    code = np.where(blind, 2, (lo > tol.psd_tol) | blind.any())
     sol = DiscriminationSolution(
         p_guess=p_guess,
         symmetry_op=Herm2(f, y),

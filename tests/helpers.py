@@ -4,7 +4,9 @@ Channels are drawn through random Stinespring isometries, so they are
 completely positive and trace preserving by construction, independent of the
 library's own CPTP tests.  The completeness weights and the dual of the
 discrimination problem have brute-force oracles: a search over every
-support, and over every active subset of up to four states.  The guessing
+support, and over every active subset of up to four states, each subset
+certified by the former rule that solves least squares for the convex
+multipliers instead of reading them off the Gram solve.  The guessing
 probability has a primal lower bound from random measurements, and exact
 guessing-probability preservation a test of every state pair and the former
 per-state loop.  The Choi operator has a loop-built oracle from the images
@@ -24,7 +26,15 @@ import numpy as np
 
 from ompkit import Ensemble, QubitChannel, make_ensemble
 from ompkit.bloch import DEFAULT_TOL, Tolerances
-from ompkit.discrimination import CaseTag, _centers, _certify_subset, solve, solve_two_state
+from ompkit.discrimination import (
+    _EQ_RES,
+    _FEAS_SLACK,
+    _MU_TOL,
+    CaseTag,
+    _centers,
+    solve,
+    solve_two_state,
+)
 from ompkit.errors import (
     ConsistencyError,
     ConvergenceFailure,
@@ -83,8 +93,8 @@ UNIDENTIFIED_FOURTH = [
 ]
 
 # Three copies of one pure state, priors (0.5, 0.25, 0.25): guessing state
-# 0 is optimal, and states 1 and 2 count as identified with one and the
-# same complementary axis, so together they complete no measurement
+# 0 is optimal, so states 1 and 2, whose balls are tangent to the guessing
+# ball, are never identified and no measurement exists
 NO_MEASUREMENT_COPIES = [(0.5, (0, 0, 1)), (0.25, (0, 0, 1)), (0.25, (0, 0, 1))]
 
 # Equal priors, states 0, 1 and 3 identified: the family member with
@@ -184,6 +194,78 @@ def enumerated_min_norm_weights(axes: np.ndarray, tol: Tolerances = DEFAULT_TOL)
     return best[1]
 
 
+def _kkt_multipliers(units: np.ndarray):
+    """Least-squares convex multipliers for ``sum mu_i u_i = 0``."""
+    k = units.shape[0]
+    a = np.vstack([units.T, np.ones((1, k))])
+    rhs = np.concatenate([np.zeros(3), [1.0]])
+    mu, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    res = float(np.linalg.norm(a @ mu - rhs))
+    return mu, res
+
+
+def lstsq_certify_subset(idx, cen, off):
+    """Test oracle for ``_certify_subset``: its former rule, which solves a
+    second, least-squares system for the convex multipliers of the unit
+    directions.
+
+    Solve the equal-value system on one subset and certify it, or None.
+    Active equalities pin ``y`` to an affine function of the common value;
+    the remaining quadratic closes the system.  A root is accepted only if
+    every equality holds to 1e-9, the convex multipliers exist with no
+    component below -1e-9, and no other state of ``cen, off`` exceeds the
+    value by more than 1e-10.  Returns ``(f, y)`` for the smallest such root.
+    """
+    sub_c = cen[list(idx)]
+    sub_o = off[list(idx)]
+    if len(idx) == 1:
+        y, f = sub_c[0], float(sub_o[0])
+        if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
+            return None
+        return f, y
+    c0, o0 = sub_c[0], sub_o[0]
+    z = sub_c[1:] - c0
+    d_off = sub_o[1:] - o0
+    h = 0.5 * (
+        np.sum(sub_c[1:] ** 2, axis=1) - c0 @ c0 - (sub_o[1:] ** 2 - o0 * o0)
+    ) - z @ c0
+    g = z @ z.T
+    g_pinv = np.linalg.pinv(g, rcond=1e-12)
+    # y(f) = b + a f restricted to the affine hull of the subset centers
+    a_vec = z.T @ (g_pinv @ d_off)
+    b_vec = c0 + z.T @ (g_pinv @ h)
+    qa = a_vec @ a_vec - 1.0
+    qb = 2.0 * (a_vec @ (b_vec - c0) + o0)
+    qc = (b_vec - c0) @ (b_vec - c0) - o0 * o0
+    if abs(qa) < 1e-14:
+        roots = [] if abs(qb) < 1e-14 else [-qc / qb]
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            return None
+        sq = np.sqrt(disc)
+        roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
+    best = None
+    for f in sorted(roots):
+        if f < np.max(sub_o) - 1e-12:
+            continue
+        y = b_vec + a_vec * f
+        d = y - sub_c
+        dist = np.linalg.norm(d, axis=1)
+        if np.max(np.abs(sub_o + dist - f)) > _EQ_RES:
+            continue
+        if np.min(dist) < 1e-15:
+            continue
+        mu, res = _kkt_multipliers(d / dist[:, None])
+        if res > _EQ_RES or np.min(mu) < -_MU_TOL:
+            continue
+        if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
+            continue
+        best = (float(f), y)
+        break
+    return best
+
+
 def enumerated_enclosing_ball(ens: Ensemble):
     """Test oracle for the dual optimum: certify every subset of states.
 
@@ -197,7 +279,7 @@ def enumerated_enclosing_ball(ens: Ensemble):
     for size in range(1, min(4, ens.n) + 1):
         found = []
         for idx in itertools.combinations(range(ens.n), size):
-            hit = _certify_subset(idx, cen, off)
+            hit = lstsq_certify_subset(idx, cen, off)
             if hit is not None:
                 found.append(hit)
         if found:
@@ -348,6 +430,9 @@ def loop_assemble(ens: Ensemble, f: float, y: np.ndarray, tol: Tolerances = DEFA
     cen, off = _centers(ens)
     gaps = 2.0 * float(f) - ens.priors
     lo = (f - off) - np.linalg.norm(cen - y, axis=1)
+    # where blind guessing is optimal no measurement identifies a state,
+    # not even one tangent to the guessing ball
+    guessing = any(gaps[x] <= tol.psd_tol for x in range(ens.n))
     comp = np.zeros((ens.n, 3))
     tags = []
     for x in range(ens.n):
@@ -355,7 +440,7 @@ def loop_assemble(ens: Ensemble, f: float, y: np.ndarray, tol: Tolerances = DEFA
             tags.append(CaseTag.NO_MEASUREMENT)
             continue
         comp[x] = 2.0 * (y - cen[x]) / gaps[x]
-        if lo[x] <= tol.psd_tol:
+        if lo[x] <= tol.psd_tol and not guessing:
             tags.append(CaseTag.PROJECTIVE_ELEMENT)
         else:
             tags.append(CaseTag.NEVER_IDENTIFIED)

@@ -12,6 +12,7 @@ from ompkit.discrimination import (
     CaseTag,
     _assemble,
     _centers,
+    _certify_subset,
     _min_norm_weights,
     _optimal_value,
     povm_value,
@@ -31,14 +32,16 @@ from ompkit.errors import (
     WrongLength,
 )
 from ompkit.fileio import bundled_ensemble
-from ompkit.omp_check import check_omp
+from ompkit.omp_check import check_omp, check_unitary
 from ompkit.omp_construct import DELTA_COORD, build_system, family_for, unpack
 
 from helpers import (
+    NO_MEASUREMENT_COPIES,
     enumerated_enclosing_ball,
     enumerated_min_norm_weights,
     loop_assemble,
     loop_povm_value,
+    lstsq_certify_subset,
     mapped_ensemble,
     oracle_random_search,
     random_cptp_channel,
@@ -251,13 +254,17 @@ def test_regular_polygons_beyond_sixteen_states(k, radius):
     assert povm_value(ens, sol) == pytest.approx(sol.p_guess, abs=1e-12)
 
 
+def _regular_gon(k):
+    """Equal priors on a regular k-gon of pure states in the xy-plane."""
+    th = 2.0 * np.pi * np.arange(k) / k
+    return make_ensemble([(1.0 / k, [np.cos(t), np.sin(t), 0.0]) for t in th])
+
+
 @pytest.mark.parametrize("k", [13, 15, 17])
 def test_odd_regular_polygons(k):
     # no antipodal pair, so every basis of the optimum holds three of the
     # k states, all of which bind
-    th = 2.0 * np.pi * np.arange(k) / k
-    ens = make_ensemble([(1.0 / k, [np.cos(t), np.sin(t), 0.0]) for t in th])
-    assert solve(ens).p_guess == pytest.approx(2.0 / k, abs=1e-12)
+    assert solve(_regular_gon(k)).p_guess == pytest.approx(2.0 / k, abs=1e-12)
 
 
 def test_ten_thousand_states_certify():
@@ -466,6 +473,72 @@ def test_enclosing_ball_matches_enumeration(ens):
     got = solve_general(ens)
     assert abs(got.p_guess - want.p_guess) <= 1e-12
     assert got.identified == want.identified
+
+
+@st.composite
+def subsets_of_degenerate_ensembles(draw):
+    """A ``degenerate_ensembles`` example and one to four of its balls.
+
+    No ball is drawn twice, as no basis holds one twice: ``_enclosing_ball``
+    certifies the first of each repeated ball of its start, and a pivot adds
+    a ball outside the ball of its basis.
+    """
+    ens = draw(degenerate_ensembles())
+    cen, off = _centers(ens)
+    _, first = np.unique(np.column_stack([cen, off]), axis=0, return_index=True)
+    balls = st.sampled_from(sorted(first.tolist()))
+    return ens, tuple(draw(st.lists(balls, min_size=1, max_size=4, unique=True)))
+
+
+def _tiny_prior_ensemble():
+    """Priors (1e-7, 4/13, 5/13, 4/13), scaled to sum to 1; states 1-3 are
+    the pure state (-1, 1, -1)/sqrt 3 and state 0 is (-1, 0, -2)/sqrt 5.
+    ``solve`` raises ConvergenceFailure: the pivot's pair (0, 2) misses its
+    equality by 1.6e-9 (ROADMAP item 3)."""
+    priors = np.array([1e-7, 4 / 13, 5 / 13, 4 / 13])
+    s0 = np.array([-1.0, 0.0, -2.0]) / np.sqrt(5.0)
+    s1 = np.array([-1.0, 1.0, -1.0]) / np.sqrt(3.0)
+    return make_ensemble(list(zip(priors / priors.sum(), [s0, s1, s1, s1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subsets_of_degenerate_ensembles())
+@example((_tiny_prior_ensemble(), (0, 2)))
+# nested, internally tangent balls on one axis: a singular Gram matrix, and
+# the only ball of the subset is ball 0 itself
+@example((make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))]), (0, 1, 2)))
+@example((_regular_gon(13), (0, 4, 9)))
+def test_certify_subset_matches_lstsq_multipliers(case):
+    # the multipliers read off the Gram solve decide as the former
+    # least-squares ones did, and the ball is the same bit for bit
+    ens, idx = case
+    cen, off = _centers(ens)
+    got = _certify_subset(idx, cen, off)
+    want = lstsq_certify_subset(idx, cen, off)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "states",
+    [[(0.6, (0, 0, 1)), (0.4, (0, 0, 1))], NO_MEASUREMENT_COPIES],
+    ids=["pair", "copies"],
+)
+def test_tangent_state_not_identified_when_guessing(states):
+    # guessing state 0 is optimal and the other balls touch its ball from
+    # inside: no measurement identifies them, so every rotation preserves
+    # the strategy and no index set is left to check
+    ens = make_ensemble(states)
+    sol = solve(ens)
+    assert sol.identified == ()
+    assert sol.case_tags[0] is CaseTag.NO_MEASUREMENT
+    assert not np.any(sol.povm_weights)
+    for axis, angle in (((0, 0, 1), 0.0), ((0, 1, 0), 0.7), ((0, 0, 1), 0.7)):
+        assert check_unitary(ens, unitary_channel(axis, angle), sol)
+    with pytest.raises(PairSetTooSmall, match="got 0"):
+        check_omp(ens, unitary_channel((0, 0, 1), 0.7), sol)
 
 
 def _assert_matches_loop(ens, sol):
