@@ -4,12 +4,13 @@ The dual of the discrimination problem asks for the Hermitian operator of
 least trace dominating every weighted state.  In Bloch coordinates that is a
 weighted smallest-enclosing-ball problem for the points ``q_x v_x / 2`` with
 additive offsets ``q_x / 2``; its optimal value is half the guessing
-probability.  ``solve_general`` solves it by basis improvement, each
-basis of at most four states certified through the first-order conditions
-to three absolute thresholds (equalities to 1e-9, convex multipliers above
--1e-9 of their sum, no state beyond the ball by 1e-10), not to machine
-precision: near internally tangent balls a certified value can be off by
-about 1e-10 (ROADMAP item 3).
+probability.  ``solve_general`` solves it by basis improvement.  A basis of
+one or two states is certified by its exact smallest ball, in closed form,
+and no state beyond it by 1e-10.  A basis of three or four states is
+certified through the first-order conditions to three absolute thresholds
+(equalities to 1e-9, convex multipliers above -1e-9 of their sum, no state
+beyond the ball by 1e-10), not to machine precision: near internally
+tangent balls such a value can be off by about 1e-10 (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -93,24 +94,28 @@ def _centers(ens: Ensemble):
 
 
 def _certify_subset(idx, cen, off):
-    """Solve the equal-value system on one subset and certify it, or None.
+    """The smallest ball of one subset if it holds every ball, else None.
 
-    Active equalities pin ``y = c_0 + z^T xi`` to an affine function of the
-    common value, with ``xi`` from one pseudo-inverse of the Gram matrix
-    ``z z^T``; the remaining quadratic closes the system.  The barycentric
-    coordinates ``(1 - sum xi, xi)`` of ``y``, scaled by the distances
-    ``|y - c_i|``, are the KKT multipliers, so that one solve also certifies.
-    A root is accepted only if every equality holds to 1e-9, no multiplier
-    is below -1e-9 of their sum, and no other state of ``cen, off`` exceeds
-    the value by more than 1e-10.  Returns ``(f, y)`` for the smallest root.
+    A subset of one or two balls has its smallest ball in closed form (the
+    ball itself, or ``_pair_ball``), exact to roundoff.  Three or four balls
+    solve the equal-value system: active equalities pin ``y = c_0 + z^T xi``
+    to an affine function of the common value, with ``xi`` from one
+    pseudo-inverse of the Gram matrix ``z z^T``; the remaining quadratic
+    closes the system.  The barycentric coordinates ``(1 - sum xi, xi)`` of
+    ``y``, scaled by the distances ``|y - c_i|``, are the KKT multipliers, so
+    that one solve also certifies.  A root is accepted only if every
+    equality holds to 1e-9 and no multiplier is below -1e-9 of their sum.
+    Either way the ball must hold every state of ``cen, off`` to 1e-10: a
+    subset's optimum that holds every ball is the optimum of all of them.
+    Returns ``(f, y)``, for the smallest accepted root.
     """
     sub_c = cen[list(idx)]
     sub_o = off[list(idx)]
-    if len(idx) == 1:
-        y, f = sub_c[0], float(sub_o[0])
+    if len(idx) <= 2:
+        f, y = (sub_o[0], sub_c[0]) if len(idx) == 1 else _pair_ball(sub_c, sub_o)
         if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
             return None
-        return f, y
+        return float(f), y
     c0, o0 = sub_c[0], sub_o[0]
     z = sub_c[1:] - c0
     d_off = sub_o[1:] - o0
@@ -160,12 +165,16 @@ def _pivot(basis: list, j: int, cen: np.ndarray, off: np.ndarray):
 
     ``j`` lies outside the ball of ``basis``, so every basis of the new ball
     contains it: only those subsets are certified, against the at most five
-    balls of the pool, smallest size first.  None if none certifies.
+    balls of the pool, smallest size first.  Sizes start at two: where ball
+    ``j`` alone would certify, the pair of ``j`` and any ball ``b`` of the
+    basis does too, as ``_pair_ball`` is then ball ``j`` or, where ``b``
+    pokes out of it by less than the slack, a ball holding ball ``j`` whole.
+    None if none certifies.
     """
     pool = sorted(basis + [j])
     sub_c, sub_o = cen[pool], off[pool]
     pos = pool.index(j)
-    for size in range(1, min(len(pool), 4) + 1):
+    for size in range(2, min(len(pool), 4) + 1):
         found = []
         for idx in itertools.combinations(range(len(pool)), size):
             if pos not in idx:
@@ -458,17 +467,18 @@ def _enclosing_ball(cen: np.ndarray, off: np.ndarray, start=()):
     Basis improvement for an LP-type problem with bases of at most four
     balls.  A ``start`` of one to four states, each repeated ball counted
     once, is certified first, by the same ``_certify_subset`` as every
-    pivot: its equalities, its convex multipliers and the feasibility of
-    every state.  Those conditions make the ball optimal, so a certified
-    start is the answer.  Otherwise, as for any other start, the loop
-    begins at the ball of the largest prior; each pivot takes the state
-    farthest outside the current ball and computes the new basis from
-    scratch (``_pivot``), as move-to-front is not safe for balls (Fischer &
-    Gartner, IJCGA 14, 2004).  The radius rises strictly, so the loop is
-    finite; it ends once no state exceeds the ball by 1e-10.  Raises
-    ConvergenceFailure, stating the pivots made and the largest violation,
-    when a pivot certifies no ball or ``8 n + 32`` pivots do not settle:
-    degeneracy beyond the built-in tolerances.
+    pivot: the exact ball of one or two states, or the equalities and convex
+    multipliers of three or four, and the feasibility of every state.  Those
+    conditions make the ball optimal, so a certified start is the answer.
+    Otherwise, as for any other start, the loop begins at the ball of the
+    largest prior, the only one-ball basis it needs: each pivot takes the
+    state farthest outside the current ball and computes the new basis, of
+    two to four balls, from scratch (``_pivot``), as move-to-front is not
+    safe for balls (Fischer & Gartner, IJCGA 14, 2004).  The radius rises
+    strictly, so the loop is finite; it ends once no state exceeds the ball
+    by 1e-10.  Raises ConvergenceFailure, stating the pivots made and the
+    largest violation, when a pivot certifies no ball or ``8 n + 32`` pivots
+    do not settle: degeneracy beyond the built-in tolerances.
     """
     if 1 <= len(start) <= 4:
         # a basis holds no ball twice: a repeat adds no constraint, only a

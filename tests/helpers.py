@@ -4,8 +4,9 @@ Channels are drawn through random Stinespring isometries, so they are
 completely positive and trace preserving by construction, independent of the
 library's own CPTP tests.  The completeness weights and the dual of the
 discrimination problem have brute-force oracles: a search over every
-support, and over every active subset of up to four states, each subset
-certified by the former rule that solves least squares for the convex
+support, and over every active subset of up to four states, each pair
+certified by its smallest ball in 50-digit ``decimal`` arithmetic and each
+other subset by the former rule that solves least squares for the convex
 multipliers instead of reading them off the Gram solve.  The guessing
 probability has a primal lower bound from random measurements, and exact
 guessing-probability preservation a test of every state pair and the former
@@ -21,6 +22,7 @@ The re-solve of a transformed ensemble is confirmed cold, by the public
 """
 
 import itertools
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -266,20 +268,48 @@ def lstsq_certify_subset(idx, cen, off):
     return best
 
 
+def decimal_pair_ball(idx, cen, off, slack: float = _FEAS_SLACK):
+    """Test oracle for the smallest ball of the two balls ``idx``, in
+    50-digit ``decimal`` arithmetic on the exact values of the floats.
+
+    The larger ball when it holds the other, else the ball touching both
+    along the line of their centers; it shares no code with the solver's
+    two-ball formula.  Returns ``(f, y)`` rounded to floats if no ball of
+    ``cen, off`` exceeds it by more than ``slack``, else None.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        balls = [([Decimal(float(v)) for v in c], Decimal(float(o))) for c, o in zip(cen, off)]
+        (c0, o0), (c1, o1) = balls[idx[0]], balls[idx[1]]
+        diff = [b - a for a, b in zip(c0, c1)]
+        gap = sum(d * d for d in diff).sqrt()
+        if gap <= abs(o0 - o1):
+            f, y = (o0, c0) if o0 >= o1 else (o1, c1)
+        else:
+            f = (gap + o0 + o1) / 2
+            y = [a + (f - o0) / gap * d for a, d in zip(c0, diff)]
+        excess = max(o + sum((a - b) ** 2 for a, b in zip(c, y)).sqrt() for c, o in balls) - f
+        if excess > Decimal(slack):
+            return None
+        return float(f), np.array([float(v) for v in y])
+
+
 def enumerated_enclosing_ball(ens: Ensemble):
     """Test oracle for the dual optimum: certify every subset of states.
 
     Tries every subset of up to four states, the most a basis of a ball in
     three dimensions holds, smallest size first, certifying each against all
-    states, and returns ``(f, y)`` of the smallest certified ball of the
-    first size that has one.  The cost grows as n^4, so keep ``ens.n``
-    small.
+    states (a pair by ``decimal_pair_ball``, any other subset by
+    ``lstsq_certify_subset``), and returns ``(f, y)`` of the smallest
+    certified ball of the first size that has one.  The cost grows as n^4,
+    so keep ``ens.n`` small.
     """
     cen, off = _centers(ens)
     for size in range(1, min(4, ens.n) + 1):
+        certify = decimal_pair_ball if size == 2 else lstsq_certify_subset
         found = []
         for idx in itertools.combinations(range(ens.n), size):
-            hit = lstsq_certify_subset(idx, cen, off)
+            hit = certify(idx, cen, off)
             if hit is not None:
                 found.append(hit)
         if found:

@@ -9,10 +9,11 @@ from ompkit import discrimination
 from ompkit.bloch import Tolerances, eigen2
 from ompkit.channels import choi_min_eigenvalues, depolarizing_channel, unitary_channel
 from ompkit.discrimination import (
+    _FEAS_SLACK,
     CaseTag,
-    _assemble,
     _centers,
     _certify_subset,
+    _enclosing_ball,
     _min_norm_weights,
     _optimal_value,
     povm_value,
@@ -37,6 +38,7 @@ from ompkit.omp_construct import DELTA_COORD, build_system, family_for, unpack
 
 from helpers import (
     NO_MEASUREMENT_COPIES,
+    decimal_pair_ball,
     enumerated_enclosing_ball,
     enumerated_min_norm_weights,
     loop_assemble,
@@ -274,21 +276,45 @@ def test_ten_thousand_states_certify():
     assert abs(povm_value(ens, sol) - sol.p_guess) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InfeasibleCompleteness,
-    reason="ROADMAP item 3: tiny-prior pair, least residual 1.113e-08 > match_tol",
+@pytest.mark.parametrize(
+    "states",
+    [
+        pytest.param(
+            # the dominant state's gap sits just above psd_tol and its
+            # complementary axis comes from a cancelling difference
+            [
+                (1e-8, np.array([-3.0, 2.0, -2.0]) / np.sqrt(17.0)),
+                (1.0 - 1e-8, np.array([1.0, -3.0, -4.0]) / np.sqrt(26.0)),
+            ],
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=InfeasibleCompleteness,
+                reason="ROADMAP item 3: tiny-prior pair, least residual 1.113e-08 > match_tol",
+            ),
+            id="two_states",
+        ),
+        pytest.param(
+            # the exact ball of the basis pair (0, 1), f = 0.3333333012829177;
+            # the weights of the identified states 0 and 1 then miss
+            # match_tol
+            [
+                (1e-7, np.array([0.0, -1.0, -1.0]) / SQ2),
+                (0.6666666, np.array([0.0, -2.0, -1.0]) / np.sqrt(5.0)),
+                (0.3333333, np.array([0.0, -2.0, -1.0]) / np.sqrt(5.0)),
+            ],
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=InfeasibleCompleteness,
+                reason="ROADMAP item 3: tiny-prior basis pair, least residual 1.062e-08 > match_tol",
+            ),
+            id="copies",
+        ),
+    ],
 )
-def test_tiny_prior_pair_solves():
-    # the dominant state's gap sits just above psd_tol and its complementary
-    # axis comes from a cancelling difference, so no completeness weights
-    # pass match_tol; a valid two-state ensemble must solve all the same
-    ens = make_ensemble(
-        [
-            (1e-8, np.array([-3.0, 2.0, -2.0]) / np.sqrt(17.0)),
-            (1.0 - 1e-8, np.array([1.0, -3.0, -4.0]) / np.sqrt(26.0)),
-        ]
-    )
+def test_tiny_prior_pair_solves(states):
+    # no completeness weights pass match_tol; a valid ensemble whose basis
+    # is a tiny-prior pair must solve all the same
+    ens = make_ensemble(states)
     sol = solve(ens)
     _assert_kkt(ens, sol)
     assert abs(povm_value(ens, sol) - sol.p_guess) <= 1e-12
@@ -459,20 +485,23 @@ def degenerate_ensembles(draw):
 @settings(max_examples=150, deadline=None)
 @given(degenerate_ensembles())
 def test_enclosing_ball_matches_enumeration(ens):
+    cen, off = _centers(ens)
     try:
-        ball = enumerated_enclosing_ball(ens)
+        want = enumerated_enclosing_ball(ens)
     except ConvergenceFailure:
-        # beyond the absolute certification tolerances: the ball of a pure
-        # state holds every ball but one of prior ~1e-7 poking out by ~1e-8,
-        # so the center lies ~1e-8 from its own and its direction, hence the
-        # multipliers, are good to only ~1e-9; both searches must say so
+        # beyond the absolute certification tolerances, which only bases of
+        # three or four balls still meet (a pair's ball is exact): near a
+        # tangency a root of the Gram path's quadratic, and hence its
+        # equalities and multipliers, can be off by ~1e-9; both searches
+        # must say so
         with pytest.raises(ConvergenceFailure):
-            solve_general(ens)
+            _enclosing_ball(cen, off)
         return
-    want = _assemble(ens, *_centers(ens), *ball, TOL)
-    got = solve_general(ens)
-    assert abs(got.p_guess - want.p_guess) <= 1e-12
-    assert got.identified == want.identified
+    got = _enclosing_ball(cen, off)
+    assert abs(got[0] - want[0]) <= 1e-12
+    # the labels, not the weights: at a tiny prior the completeness weights
+    # of an exact ball can miss match_tol (ROADMAP item 3)
+    assert loop_assemble(ens, *got, TOL)[3] == loop_assemble(ens, *want, TOL)[3]
 
 
 @st.composite
@@ -493,7 +522,8 @@ def subsets_of_degenerate_ensembles(draw):
 def _tiny_prior_ensemble():
     """Priors (1e-7, 4/13, 5/13, 4/13), scaled to sum to 1; states 1-3 are
     the pure state (-1, 1, -1)/sqrt 3 and state 0 is (-1, 0, -2)/sqrt 5.
-    ``solve`` raises ConvergenceFailure: the pivot's pair (0, 2) misses its
+    Its basis is the pair (0, 2), which the Gram path of three- and four-ball
+    subsets would refuse: its cancelling quadratic misses the pair's
     equality by 1.6e-9 (ROADMAP item 3)."""
     priors = np.array([1e-7, 4 / 13, 5 / 13, 4 / 13])
     s0 = np.array([-1.0, 0.0, -2.0]) / np.sqrt(5.0)
@@ -501,24 +531,81 @@ def _tiny_prior_ensemble():
     return make_ensemble(list(zip(priors / priors.sum(), [s0, s1, s1, s1])))
 
 
+_TINY_PRIOR = _tiny_prior_ensemble()
+
+
 @settings(max_examples=300, deadline=None)
 @given(subsets_of_degenerate_ensembles())
-@example((_tiny_prior_ensemble(), (0, 2)))
+@example((_TINY_PRIOR, (0, 2)))
 # nested, internally tangent balls on one axis: a singular Gram matrix, and
 # the only ball of the subset is ball 0 itself
 @example((make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))]), (0, 1, 2)))
 @example((_regular_gon(13), (0, 4, 9)))
 def test_certify_subset_matches_lstsq_multipliers(case):
-    # the multipliers read off the Gram solve decide as the former
-    # least-squares ones did, and the ball is the same bit for bit
     ens, idx = case
     cen, off = _centers(ens)
     got = _certify_subset(idx, cen, off)
+    if len(idx) == 2:
+        # a pair's ball is exact: the 50-digit oracle's value to 1e-15 of
+        # it, and its decision wherever no ball lies within 1e-12 of the
+        # slack
+        inner = decimal_pair_ball(idx, cen, off, _FEAS_SLACK - 1e-12)
+        outer = decimal_pair_ball(idx, cen, off, _FEAS_SLACK + 1e-12)
+        if inner is not None:
+            assert got is not None
+        if outer is None:
+            assert got is None
+        if got is not None:
+            assert abs(got[0] - outer[0]) <= 1e-15 * outer[0]
+        if ens is _TINY_PRIOR:
+            assert got is not None
+        return
+    # the multipliers read off the Gram solve decide as the former
+    # least-squares ones did, and the ball is the same bit for bit
     want = lstsq_certify_subset(idx, cen, off)
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def _pair_basis_cases():
+    """Ensembles whose basis is a pair with a 1e-7 prior beside it, on
+    which the Gram path's cancelling quadratic puts ``p_guess`` 1.6e-10 to
+    5.8e-10 above the value of its own measurement, or refuses the pair.
+    Each case: the ensemble, its basis pair and its identified states."""
+    rng = np.random.default_rng(0)
+    axis = rng.normal(size=3)
+    rot = unitary_channel(axis / np.linalg.norm(axis), rng.uniform(0.0, 2.0 * np.pi))
+    diag = np.array([0.0, 1.0, 1.0]) / SQ2
+    states = [(1e-7, (1, 0, 0))] + [((1 - 1e-7) / 2, diag)] * 2
+    priors = np.array([1e-7, 0.7, 0.3])
+    return [
+        (make_ensemble(states), (0, 1), (0, 1, 2)),
+        (mapped_ensemble(make_ensemble(states), rot), (0, 1), (0, 1, 2)),
+        (
+            make_ensemble(list(zip(priors / priors.sum(), [(-1, 0, 0), (0, 1, 0), (0, 1, 0)]))),
+            (0, 1),
+            (0, 1),
+        ),
+        (_TINY_PRIOR, (0, 2), (0, 2)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ens, pair, identified",
+    _pair_basis_cases(),
+    ids=["tiny_prior_diagonal", "rotated", "tiny_prior_copies", "tiny_prior_four"],
+)
+def test_pair_basis_is_exact(ens, pair, identified):
+    # the exact two-ball ball: the value of the 50-digit oracle, which the
+    # measurement attains to roundoff
+    sol = solve(ens)
+    assert abs(sol.p_guess - povm_value(ens, sol)) <= 1e-15
+    want = decimal_pair_ball(pair, *_centers(ens))
+    assert want is not None
+    assert abs(sol.p_guess - 2.0 * want[0]) <= 1e-15
+    assert sol.identified == identified
 
 
 @pytest.mark.parametrize(
@@ -560,8 +647,9 @@ def _assert_matches_loop(ens, sol):
 def test_assembly_matches_loop_on_degenerate_ensembles(ens):
     try:
         sol = solve(ens)
-    except ConvergenceFailure:
-        # the tiny-prior certification gap, covered by the enumeration test
+    except (ConvergenceFailure, InfeasibleCompleteness):
+        # ROADMAP item 3: a tiny prior beside a three- or four-ball basis, or
+        # the completeness edge of test_tiny_prior_pair_solves
         return
     _assert_matches_loop(ens, sol)
 
@@ -616,7 +704,8 @@ def test_warm_value_matches_cold_solve(ens, kind, seed):
     # value
     try:
         sol = solve(ens)
-    except ConvergenceFailure:
+    except (ConvergenceFailure, InfeasibleCompleteness):
+        # ROADMAP item 3, as in the assembly test above
         return
     found = _draw_channel(ens, sol, kind, np.random.default_rng(seed))
     if found is None:
@@ -669,7 +758,8 @@ def test_positive_verdict_brackets_the_new_optimum(ens, kind, seed):
     # 6.2e-10, ROADMAP item 3)
     try:
         sol = solve(ens)
-    except ConvergenceFailure:
+    except (ConvergenceFailure, InfeasibleCompleteness):
+        # ROADMAP item 3, as in the assembly test above
         return
     found = _draw_channel(ens, sol, kind, np.random.default_rng(seed))
     if found is None:
