@@ -137,7 +137,9 @@ def nullspace(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the right nullspace as columns, shape
     ``(n_cols, n_cols - rank)`` with the rank of :func:`_rank`."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    _, s, vt = np.linalg.svd(m)
+    # the reduced SVD of a tall matrix still has a complete ``vt``, without
+    # the rows-by-rows ``u``
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vt[_rank(s, tol):].T.copy()
 
 

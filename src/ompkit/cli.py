@@ -76,6 +76,16 @@ def _positive(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _tolerances(args) -> Tolerances:
     return Tolerances(psd_tol=args.psd_tol, rank_tol=args.rank_tol, match_tol=args.tol)
 
@@ -83,7 +93,10 @@ def _tolerances(args) -> Tolerances:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("OMPKIT_SEED", "0"))
+    try:
+        return _nonnegative_int(os.environ.get("OMPKIT_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise FormatError(f"OMPKIT_SEED: {exc}") from None
 
 
 def _arr(a) -> list:
@@ -330,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("ensemble", help="path to an ensemble JSON file")
     p_family.add_argument("--samples", type=int, default=1000,
                           help="number of sieve draws (default 1000)")
-    p_family.add_argument("--seed", type=int, default=None,
+    p_family.add_argument("--seed", type=_nonnegative_int, default=None,
                           help="RNG seed (default: OMPKIT_SEED env var, else 0)")
     p_family.add_argument("--box", type=_finite, default=2.0,
                           help="half-width of the coefficient sampling box (default 2)")

@@ -94,25 +94,26 @@ def _centers(ens: Ensemble):
 
 
 def _certify_subset(idx, cen, off):
-    """The smallest ball of one subset if it holds every ball, else None.
+    """The smallest ball of two to four balls if it holds every ball, else
+    None.
 
-    A subset of one or two balls has its smallest ball in closed form (the
-    ball itself, or ``_pair_ball``), exact to roundoff.  Three or four balls
-    solve the equal-value system: active equalities pin ``y = c_0 + z^T xi``
-    to an affine function of the common value, with ``xi`` from one
-    pseudo-inverse of the Gram matrix ``z z^T``; the remaining quadratic
-    closes the system.  The barycentric coordinates ``(1 - sum xi, xi)`` of
-    ``y``, scaled by the distances ``|y - c_i|``, are the KKT multipliers, so
-    that one solve also certifies.  A root is accepted only if every
-    equality holds to 1e-9 and no multiplier is below -1e-9 of their sum.
-    Either way the ball must hold every state of ``cen, off`` to 1e-10: a
-    subset's optimum that holds every ball is the optimum of all of them.
-    Returns ``(f, y)``, for the smallest accepted root.
+    A pair has its smallest ball in closed form (``_pair_ball``), exact to
+    roundoff.  Three or four balls solve the equal-value system: active
+    equalities pin ``y = c_0 + z^T xi`` to an affine function of the common
+    value, with ``xi`` from one pseudo-inverse of the Gram matrix ``z z^T``;
+    the remaining quadratic closes the system.  The barycentric coordinates
+    ``(1 - sum xi, xi)`` of ``y``, scaled by the distances ``|y - c_i|``,
+    are the KKT multipliers, so that one solve also certifies.  A root is
+    accepted only if every equality holds to 1e-9 and no multiplier is
+    below -1e-9 of their sum.  Either way the ball must hold every state of
+    ``cen, off`` to 1e-10: a subset's optimum that holds every ball is the
+    optimum of all of them.  Returns ``(f, y)``, for the smallest accepted
+    root.
     """
     sub_c = cen[list(idx)]
     sub_o = off[list(idx)]
-    if len(idx) <= 2:
-        f, y = (sub_o[0], sub_c[0]) if len(idx) == 1 else _pair_ball(sub_c, sub_o)
+    if len(idx) == 2:
+        f, y = _pair_ball(sub_c, sub_o)
         if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
             return None
         return float(f), y
@@ -461,34 +462,20 @@ def povm_weights(
     return weights
 
 
-def _enclosing_ball(cen: np.ndarray, off: np.ndarray, start=()):
+def _enclosing_ball(cen: np.ndarray, off: np.ndarray):
     """``(f, y)`` of the smallest ball enclosing the balls ``B(cen_x, off_x)``.
 
     Basis improvement for an LP-type problem with bases of at most four
-    balls.  A ``start`` of one to four states, each repeated ball counted
-    once, is certified first, by the same ``_certify_subset`` as every
-    pivot: the exact ball of one or two states, or the equalities and convex
-    multipliers of three or four, and the feasibility of every state.  Those
-    conditions make the ball optimal, so a certified start is the answer.
-    Otherwise, as for any other start, the loop begins at the ball of the
-    largest prior, the only one-ball basis it needs: each pivot takes the
-    state farthest outside the current ball and computes the new basis, of
-    two to four balls, from scratch (``_pivot``), as move-to-front is not
-    safe for balls (Fischer & Gartner, IJCGA 14, 2004).  The radius rises
-    strictly, so the loop is finite; it ends once no state exceeds the ball
-    by 1e-10.  Raises ConvergenceFailure, stating the pivots made and the
-    largest violation, when a pivot certifies no ball or ``8 n + 32`` pivots
-    do not settle: degeneracy beyond the built-in tolerances.
+    balls.  The loop begins at the ball of the largest prior, the only
+    one-ball basis it needs: each pivot takes the state farthest outside the
+    current ball and computes the new basis, of two to four balls, from
+    scratch (``_pivot``), as move-to-front is not safe for balls (Fischer &
+    Gartner, IJCGA 14, 2004).  The radius rises strictly, so the loop is
+    finite; it ends once no state exceeds the ball by 1e-10.  Raises
+    ConvergenceFailure, stating the pivots made and the largest violation,
+    when a pivot certifies no ball or ``8 n + 32`` pivots do not settle:
+    degeneracy beyond the built-in tolerances.
     """
-    if 1 <= len(start) <= 4:
-        # a basis holds no ball twice: a repeat adds no constraint, only a
-        # singular Gram matrix, so the first of each is certified
-        first = {}
-        for x in sorted(start):
-            first.setdefault((*cen[x].tolist(), float(off[x])), x)
-        hit = _certify_subset(list(first.values()), cen, off)
-        if hit is not None:
-            return hit
     basis = [int(np.argmax(off))]
     f, y = float(off[basis[0]]), cen[basis[0]]
     limit = 8 * len(off) + 32
@@ -526,10 +513,8 @@ def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminatio
     The dual optimum is the smallest ball enclosing the balls ``B(q_x v_x /
     2, q_x / 2)``, found by the basis improvement of ``_enclosing_ball``
     from the ball of the largest prior; ``_assemble`` labels the states and
-    completes the measurement.  The private ``_enclosing_ball`` also takes
-    an optional start basis, which only the value-only re-solve of a
-    negative preservation verdict (``_optimal_value``) passes.  Raises
-    ConvergenceFailure when the pivots do not settle.
+    completes the measurement.  Raises ConvergenceFailure when the pivots do
+    not settle.
     """
     cen, off = _centers(ens)
     return _assemble(ens, cen, off, *_enclosing_ball(cen, off), tol)
@@ -556,17 +541,12 @@ def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolutio
     return solve_general(ens, tol)
 
 
-def _optimal_value(ens: Ensemble, start=()) -> float:
+def _optimal_value(ens: Ensemble) -> float:
     """The guessing probability ``solve(ens).p_guess`` alone, which a
-    negative preservation verdict reports.
-
-    The same dispatch and the same certified ball, with no labels and no
-    measurement assembled.  ``start``, a predicted basis of one to four
-    states, is certified before any pivot (``_enclosing_ball``); if it is
-    not, the search runs as in ``solve``.
-    """
+    negative preservation verdict reports: the same dispatch and the same
+    ball, with no labels and no measurement assembled."""
     cen, off = _centers(ens)
-    f, _ = _pair_ball(cen, off) if ens.n == 2 else _enclosing_ball(cen, off, start)
+    f, _ = _pair_ball(cen, off) if ens.n == 2 else _enclosing_ball(cen, off)
     return 2.0 * float(f)
 
 

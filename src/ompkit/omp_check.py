@@ -173,8 +173,8 @@ def _verdict(
     ``fit`` is ``_fit_degradation(system, channel)`` if the caller has it.
 
     A positive verdict reads the new optimum off its certificate
-    (``_cross_validate``); only a negative one re-solves, value-only and
-    warm-started from the system's index set.
+    (``_cross_validate``); only a negative one re-solves, value-only, by
+    the same ball search as ``solve``.
     """
     ens, sol, index_set = system.ensemble, system.solution, system.index_set
     delta, residuals = fit or _fit_degradation(system, channel)
@@ -187,7 +187,7 @@ def _verdict(
     if is_omp:
         p_after = _cross_validate(sol, after_ens, delta, tol, system.weights)
     else:
-        p_after = _optimal_value(after_ens, index_set)
+        p_after = _optimal_value(after_ens)
     return OmpReport(
         is_omp=is_omp,
         delta=delta,
@@ -324,11 +324,17 @@ def check_pg_preserving(
     This is the zero-degradation condition over all pairs, identified or
     not; such channels keep the guessing probability exactly.
     """
-    # u_y - u_x is the pair (x, y) condition; keep every pair within tol
+    # u_y - u_x is the pair (x, y) condition; keep every pair within tol,
+    # testing rows in blocks of at most 2**18 pairs so that memory stays
+    # flat in the number of states
     u = ens.priors[:, None] * (
         ens.blochs @ channel.matrix.T + channel.shift - ens.blochs
     )
-    return bool(np.all(np.linalg.norm(u[None] - u[:, None], axis=2) <= tol.match_tol))
+    step = max(1, 2**18 // len(u))
+    return all(
+        np.all(np.linalg.norm(u[None] - u[x : x + step, None], axis=2) <= tol.match_tol)
+        for x in range(0, len(u), step)
+    )
 
 
 def check_convex_mix(

@@ -11,14 +11,14 @@ multipliers instead of reading them off the Gram solve.  The guessing
 probability has a primal lower bound from random measurements, and exact
 guessing-probability preservation a test of every state pair and the former
 per-state loop.  The Choi operator has a loop-built oracle from the images
-of the matrix units, and the batched sieve a per-draw one.  The labelling
+of the matrix units, the batched sieve a per-draw one, and the null space
+of a system its former full SVD.  The labelling
 of the states at the dual optimum and the value of a measurement have
 one-state-at-a-time loops, and the dominance of left-out states its former
 ``setdiff1d`` form.  The equal-prior and two-state preservation checks have
 closed forms of their own, fitted on the state differences and the weighted
 difference, and the rotation check a geometric one, from the rotation axis.
-The re-solve of a transformed ensemble is confirmed cold, by the public
-``solve``.
+The re-solve of a transformed ensemble is confirmed by the public ``solve``.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from ompkit import Ensemble, QubitChannel, make_ensemble
-from ompkit.bloch import DEFAULT_TOL, Tolerances
+from ompkit.bloch import DEFAULT_TOL, Tolerances, _rank
 from ompkit.discrimination import (
     _EQ_RES,
     _FEAS_SLACK,
@@ -370,6 +370,14 @@ def oracle_random_search(ens: Ensemble, samples: int = 2000, seed: int = 0) -> f
     return best
 
 
+def full_svd_nullspace(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Test oracle for ``bloch.nullspace``: its former body, whose full SVD
+    also builds the rows-by-rows ``u`` of a tall matrix."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    _, s, vt = np.linalg.svd(m)
+    return vt[_rank(s, tol):].T.copy()
+
+
 def pairwise_pg_preserving(ens: Ensemble, channel: QubitChannel, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Test oracle for exact guessing-probability preservation: every pair.
 
@@ -502,8 +510,8 @@ def mapped_ensemble(ens: Ensemble, channel: QubitChannel, tol: Tolerances = DEFA
 
 
 def _confirm_drop(ens: Ensemble, channel: QubitChannel, sol, delta: float, tol: Tolerances) -> None:
-    """Re-solve the mapped ensemble cold, with the public ``solve`` and none
-    of the verdict's warm start: its optimum must drop by ``delta``."""
+    """Re-solve the mapped ensemble, mapped one state at a time, with the
+    public ``solve``: its optimum must drop by ``delta``."""
     drop = sol.p_guess - solve(mapped_ensemble(ens, channel, tol), tol).p_guess
     if abs(delta - drop) > 10.0 * tol.match_tol:
         raise ConsistencyError(f"degradation {delta:.3e} disagrees with drop {drop:.3e}")

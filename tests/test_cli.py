@@ -325,14 +325,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["family", "--fixed-delta", "nan", "--json"], "argument --fixed-delta: expected a finite"),
         (["solve", "--measurement", "0,x"], "expected comma-separated integers, got '0,x'"),
         (["solve", "--measurement", ","], "argument --measurement: index list is empty"),
+        (["family", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
     ],
     ids=["tol-zero", "psd-tol-negative", "tol-nan", "rank-tol-inf", "tol-word", "box-nan",
-         "box-inf", "fixed-delta-nan", "measurement-word", "measurement-empty"],
+         "box-inf", "fixed-delta-nan", "measurement-word", "measurement-empty", "seed-negative"],
 )
 def test_malformed_flag_values_exit_2(tmp_path, capsys, argv, message):
     # a bad tolerance once escaped main as a ValueError traceback (exit 1 from
-    # the console script), a nan or inf box as an OverflowError, and a nan
-    # degradation reached the JSON report
+    # the console script), a nan or inf box as an OverflowError, a negative
+    # seed as a ValueError of the random generator, and a nan degradation
+    # reached the JSON report
     argv = [argv[0], ensemble_file(tmp_path, "bb84")] + argv[1:]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -447,6 +449,14 @@ def test_seed_sources(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("OMPKIT_SEED")
     code, rep = run_json(capsys, ["family", epath, "--samples", "5"])
     assert rep["seed"] == 0
+    # the environment takes the flag's values only: anything else is an
+    # input error naming the variable, not a ValueError traceback
+    for bad in ("abc", "-5", ""):
+        monkeypatch.setenv("OMPKIT_SEED", bad)
+        assert main(["family", epath, "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"OMPKIT_SEED: expected a non-negative integer, got {bad!r}" in captured.err
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Measurement-preservation checks across channel families."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,24 @@ def test_pg_preserving():
     assert check_pg_preserving(pair, identity_channel())
     assert check_pg_preserving(pair, unitary_channel(h, 0.7))
     assert not check_pg_preserving(bundled_ensemble("bb84"), depolarizing_channel(0.2))
+
+
+def test_pg_preserving_memory_stays_flat():
+    # 2,000 states on the rotation axis stay put; moving the last one off
+    # it breaks its pairs.  The n x n x 3 broadcast once peaked at 256 MB.
+    rng = np.random.default_rng(3)
+    priors = rng.dirichlet(np.ones(2000))
+    blochs = np.outer(rng.uniform(-1.0, 1.0, 2000), [0.0, 0.0, 1.0])
+    rotation = unitary_channel((0, 0, 1), 0.3)
+    tracemalloc.start()
+    try:
+        assert check_pg_preserving(make_ensemble(zip(priors, blochs)), rotation)
+        blochs[-1] = (0.6, 0.0, 0.0)
+        assert not check_pg_preserving(make_ensemble(zip(priors, blochs)), rotation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_pg_preserving_matches_pairwise_oracle():

@@ -1,13 +1,14 @@
 """The linear family of measurement-preserving channels and its sieve."""
 
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 from ompkit import channels, discrimination, omp_check, omp_construct
-from ompkit.bloch import Tolerances, pinv
+from ompkit.bloch import Tolerances, nullspace, pinv
 from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi, unitary_channel
 from ompkit.discrimination import solve
 from ompkit.ensembles import make_ensemble
@@ -40,6 +41,7 @@ from ompkit.omp_construct import (
 from helpers import (
     LEFT_OUT_SIEVE,
     UNIDENTIFIED_FOURTH,
+    full_svd_nullspace,
     per_draw_sieve,
     random_ensemble,
     setdiff_left_out_low,
@@ -118,6 +120,42 @@ def test_family_dimensions(name, nullity):
     assert np.max(np.abs(q @ fam.null_basis)) <= 1e-9
     # the minimum-norm particular member reproduces the identity's image
     assert np.allclose(fam.particular, pinv(q) @ (q @ fam.system.identity_vec))
+
+
+def _regular_gon(k):
+    """Equal priors on a regular k-gon of pure states in the xy-plane."""
+    th = 2.0 * np.pi * np.arange(k) / k
+    return make_ensemble([(1.0 / k, [np.cos(t), np.sin(t), 0.0]) for t in th])
+
+
+def test_nullspace_matches_full_svd_bit_for_bit():
+    # the reduced SVD of a tall system gives the former full SVD's basis
+    rng = np.random.default_rng(5)
+    mats = [build_system(bundled_ensemble(name)).coeff_matrix for name in BUNDLED_ENSEMBLES]
+    mats.append(build_system(_regular_gon(200)).coeff_matrix)
+    for _ in range(100):
+        rows, cols = (int(v) for v in rng.integers(1, 40, size=2))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        mats.append(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols)))
+    for m in mats:
+        got, want = nullspace(m), full_svd_nullspace(m)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_polygon_family_memory_stays_flat():
+    # a 2,000-gon's system has 2,000 x 3 rows; its full SVD once built a
+    # 6,000 x 6,000 u, a 288 MB peak
+    ens = _regular_gon(2000)
+    sol = solve(ens)
+    tracemalloc.start()
+    try:
+        fam = family_for(ens, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.dim == 7
+    assert peak < 16e6
 
 
 def test_identity_always_in_family():
