@@ -76,6 +76,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -341,11 +348,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_family = commands.add_parser("family", help="construct the family of "
                                    "measurement-preserving channels")
     p_family.add_argument("ensemble", help="path to an ensemble JSON file")
-    p_family.add_argument("--samples", type=int, default=1000,
+    p_family.add_argument("--samples", type=_nonnegative_int, default=1000,
                           help="number of sieve draws (default 1000)")
     p_family.add_argument("--seed", type=_nonnegative_int, default=None,
                           help="RNG seed (default: OMPKIT_SEED env var, else 0)")
-    p_family.add_argument("--box", type=_finite, default=2.0,
+    p_family.add_argument("--box", type=_nonnegative, default=2.0,
                           help="half-width of the coefficient sampling box (default 2)")
     p_family.add_argument("--unital", action="store_true",
                           help="restrict to channels with zero shift")

@@ -4,26 +4,34 @@ The dual of the discrimination problem asks for the Hermitian operator of
 least trace dominating every weighted state.  In Bloch coordinates that is a
 weighted smallest-enclosing-ball problem for the points ``q_x v_x / 2`` with
 additive offsets ``q_x / 2``; its optimal value is half the guessing
-probability.  ``solve_general`` solves it by basis improvement.  A basis of
-one or two states is certified by its exact smallest ball, in closed form,
-and no state beyond it by 1e-10.  A basis of three or four states is
-certified through the first-order conditions to three absolute thresholds
-(equalities to 1e-9, convex multipliers above -1e-9 of their sum, no state
-beyond the ball by 1e-10), not to machine precision: near internally
-tangent balls such a value can be off by about 1e-10 (ROADMAP item 3).
+probability.  ``solve_general`` solves it by basis improvement: each pivot
+finds the farthest violator in one numpy pass over all states, then
+certifies the at most five balls of its pool as Python floats, where numpy
+would spend more on each call than on the arithmetic.  A basis of one or
+two states is certified by its exact smallest ball, in closed form, and no
+state beyond it by 1e-10.  A basis of three or four states is certified
+through the first-order conditions, solved with the adjugate of its 2 x 2
+or 3 x 3 Gram matrix (an SVD pseudo-inverse only where that matrix is
+rank-deficient), to three absolute thresholds (equalities to 1e-9, convex
+multipliers above -1e-9 of their sum, no state beyond the ball by 1e-10),
+not to machine precision: near internally tangent balls such a value can
+be off by about 1e-10 (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
 from .bloch import DEFAULT_TOL, Herm2, Tolerances
 from .ensembles import Ensemble, _index_array
 from .errors import (
+    BadParameter,
     ConvergenceFailure,
     InfeasibleCompleteness,
     WrongArity,
@@ -93,72 +101,114 @@ def _centers(ens: Ensemble):
     return ens.blochs * (ens.priors[:, None] / 2.0), ens.priors / 2.0
 
 
+def _dot(u, v) -> float:
+    """``u @ v`` of two short float lists."""
+    return sum(map(mul, u, v))
+
+
+def _dist(u, v) -> float:
+    """``|u - v|`` of two float 3-lists."""
+    d0, d1, d2 = u[0] - v[0], u[1] - v[1], u[2] - v[2]
+    return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+
+
+def _holds(f: float, y, cen, off) -> bool:
+    """Whether the ball ``(f, y)`` holds every ball of ``cen, off`` to
+    1e-10."""
+    lim = f + _FEAS_SLACK
+    return all(o + _dist(c, y) <= lim for c, o in zip(cen, off))
+
+
+def _gram_inverse(g: list) -> list:
+    """Inverse of the 2 x 2 or 3 x 3 Gram matrix ``g``.
+
+    By its adjugate where ``det g > 1e-12 (tr g)^m``, which implies
+    ``lambda_min > 1e-12 lambda_max``, so ``pinv(g, rcond=1e-12)`` would
+    truncate nothing; otherwise, for a rank-deficient ``g``, by that
+    ``pinv``.
+    """
+    if len(g) == 2:
+        (a, b), (_, d) = g
+        adj = [[d, -b], [-b, a]]
+        det = a * d - b * b
+        tr = a + d
+    else:
+        (a, b, c), (_, d, e), (_, _, k) = g
+        adj = [
+            [d * k - e * e, c * e - b * k, b * e - c * d],
+            [c * e - b * k, a * k - c * c, b * c - a * e],
+            [b * e - c * d, b * c - a * e, a * d - b * b],
+        ]
+        det = a * adj[0][0] + b * adj[0][1] + c * adj[0][2]
+        tr = a + d + k
+    if det > 1e-12 * tr ** len(g):
+        return [[v / det for v in row] for row in adj]
+    return np.linalg.pinv(np.array(g), rcond=1e-12).tolist()
+
+
 def _certify_subset(idx, cen, off):
     """The smallest ball of two to four balls if it holds every ball, else
     None.
 
-    A pair has its smallest ball in closed form (``_pair_ball``), exact to
-    roundoff.  Three or four balls solve the equal-value system: active
-    equalities pin ``y = c_0 + z^T xi`` to an affine function of the common
-    value, with ``xi`` from one pseudo-inverse of the Gram matrix ``z z^T``;
-    the remaining quadratic closes the system.  The barycentric coordinates
-    ``(1 - sum xi, xi)`` of ``y``, scaled by the distances ``|y - c_i|``,
-    are the KKT multipliers, so that one solve also certifies.  A root is
-    accepted only if every equality holds to 1e-9 and no multiplier is
-    below -1e-9 of their sum.  Either way the ball must hold every state of
-    ``cen, off`` to 1e-10: a subset's optimum that holds every ball is the
-    optimum of all of them.  Returns ``(f, y)``, for the smallest accepted
-    root.
+    ``cen, off`` are float lists (one 3-list per ball), as ``_pivot`` makes
+    them once per pool, and all the work is on Python floats.  A pair has
+    its smallest ball in closed form (``_pair_ball``), exact to roundoff.
+    Three or four balls solve the equal-value system: active equalities pin
+    ``y = c_0 + z^T xi`` to an affine function of the common value, with
+    ``xi`` from one inverse of the Gram matrix ``g = z z^T``
+    (``_gram_inverse``) applied to the offset differences and to the
+    right-hand side ``h_i = (g_ii - (o_i - o_0)(o_i + o_0)) / 2``, which
+    does not cancel for close centers; the remaining quadratic closes the
+    system.  The barycentric coordinates ``(1 - sum xi, xi)`` of ``y``,
+    scaled by the distances ``|y - c_i|``, are the KKT multipliers, so that
+    one solve also certifies.  A root is accepted only if every equality
+    holds to 1e-9 and no multiplier is below -1e-9 of their sum.  Either way
+    the ball must hold every ball of ``cen, off`` to 1e-10: a subset's
+    optimum that holds every ball is the optimum of all of them.  Returns
+    ``(f, y)``, for the smallest accepted root, with ``y`` a float list.
     """
-    sub_c = cen[list(idx)]
-    sub_o = off[list(idx)]
     if len(idx) == 2:
-        f, y = _pair_ball(sub_c, sub_o)
-        if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
-            return None
-        return float(f), y
-    c0, o0 = sub_c[0], sub_o[0]
-    z = sub_c[1:] - c0
-    d_off = sub_o[1:] - o0
-    h = 0.5 * (
-        np.sum(sub_c[1:] ** 2, axis=1) - c0 @ c0 - (sub_o[1:] ** 2 - o0 * o0)
-    ) - z @ c0
-    g = z @ z.T
-    g_pinv = np.linalg.pinv(g, rcond=1e-12)
-    # y(f) = c0 + z^T (xi_b + f xi_a), in the affine hull of the centers
-    xi_a = g_pinv @ d_off
-    xi_b = g_pinv @ h
-    a_vec = z.T @ xi_a
-    b_vec = c0 + z.T @ xi_b
-    qa = a_vec @ a_vec - 1.0
-    qb = 2.0 * (a_vec @ (b_vec - c0) + o0)
-    qc = (b_vec - c0) @ (b_vec - c0) - o0 * o0
+        i, j = idx
+        f, y = _pair_ball(cen[i], off[i], cen[j], off[j])
+        return (f, y) if _holds(f, y, cen, off) else None
+    c0, o0 = cen[idx[0]], off[idx[0]]
+    z = [[a - b for a, b in zip(cen[i], c0)] for i in idx[1:]]
+    d_off = [off[i] - o0 for i in idx[1:]]
+    g = [[_dot(u, v) for v in z] for u in z]
+    h = [0.5 * (g[k][k] - d_off[k] * (off[i] + o0)) for k, i in enumerate(idx[1:])]
+    g_inv = _gram_inverse(g)
+    xi_a = [_dot(row, d_off) for row in g_inv]
+    xi_b = [_dot(row, h) for row in g_inv]
+    # y(f) = c0 + z^T (xi_b + f xi_a) = c0 + bz + f a, in the affine hull
+    a = [_dot(xi_a, col) for col in zip(*z)]
+    bz = [_dot(xi_b, col) for col in zip(*z)]
+    qa = _dot(a, a) - 1.0
+    qb = 2.0 * (_dot(a, bz) + o0)
+    qc = _dot(bz, bz) - o0 * o0
     if abs(qa) < 1e-14:
         roots = [] if abs(qb) < 1e-14 else [-qc / qb]
     else:
         disc = qb * qb - 4.0 * qa * qc
         if disc < 0.0:
             return None
-        sq = np.sqrt(disc)
+        sq = math.sqrt(disc)
         roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
-    best = None
+    sub_o = [off[i] for i in idx]
     for f in sorted(roots):
-        if f < np.max(sub_o) - 1e-12:
+        if f < max(sub_o) - 1e-12:
             continue
-        y = b_vec + a_vec * f
-        dist = np.linalg.norm(y - sub_c, axis=1)
-        if np.max(np.abs(sub_o + dist - f)) > _EQ_RES:
+        y = [c + b + v * f for c, b, v in zip(c0, bz, a)]
+        dist = [_dist(y, cen[i]) for i in idx]
+        if max([abs(o + d - f) for o, d in zip(sub_o, dist)]) > _EQ_RES:
             continue
         # y = sum lam_i c_i with sum lam_i = 1, so sum lam_i (y - c_i) = 0
-        xi = xi_b + f * xi_a
-        mu = np.concatenate([[1.0 - xi.sum()], xi]) * dist
-        if np.min(mu) < -_MU_TOL * mu.sum():
+        xi = [b + f * v for b, v in zip(xi_b, xi_a)]
+        mu = list(map(mul, [1.0 - sum(xi)] + xi, dist))
+        if min(mu) < -_MU_TOL * sum(mu):
             continue
-        if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
-            continue
-        best = (float(f), y)
-        break
-    return best
+        if _holds(f, y, cen, off):
+            return f, y
+    return None
 
 
 def _pivot(basis: list, j: int, cen: np.ndarray, off: np.ndarray):
@@ -166,14 +216,15 @@ def _pivot(basis: list, j: int, cen: np.ndarray, off: np.ndarray):
 
     ``j`` lies outside the ball of ``basis``, so every basis of the new ball
     contains it: only those subsets are certified, against the at most five
-    balls of the pool, smallest size first.  Sizes start at two: where ball
-    ``j`` alone would certify, the pair of ``j`` and any ball ``b`` of the
-    basis does too, as ``_pair_ball`` is then ball ``j`` or, where ``b``
-    pokes out of it by less than the slack, a ball holding ball ``j`` whole.
-    None if none certifies.
+    balls of the pool, smallest size first.  The pool becomes float lists
+    once, and ``_certify_subset`` works on those.  Sizes start at two:
+    where ball ``j`` alone would certify, the pair of ``j`` and any ball
+    ``b`` of the basis does too, as ``_pair_ball`` is then ball ``j`` or,
+    where ``b`` pokes out of it by less than the slack, a ball holding ball
+    ``j`` whole.  None if none certifies.
     """
     pool = sorted(basis + [j])
-    sub_c, sub_o = cen[pool], off[pool]
+    sub_c, sub_o = cen[pool].tolist(), off[pool].tolist()
     pos = pool.index(j)
     for size in range(2, min(len(pool), 4) + 1):
         found = []
@@ -185,7 +236,7 @@ def _pivot(basis: list, j: int, cen: np.ndarray, off: np.ndarray):
                 found.append((hit[0], hit[1], [pool[i] for i in idx]))
         if found:
             f, y, new = min(found, key=lambda t: t[0])
-            return new, f, y
+            return new, f, np.array(y)
     return None
 
 
@@ -441,7 +492,7 @@ def povm_weights(
         # the solver's own set: in range, distinct and identified
         idx = np.array(sol.identified, dtype=np.intp)
     else:
-        idx = _index_array(ens, tuple(index_set))
+        idx = _index_array(ens.n, tuple(index_set))
         order = np.sort(idx)
         twice = order[1:][order[1:] == order[:-1]]
         if twice.size:
@@ -494,17 +545,24 @@ def _enclosing_ball(cen: np.ndarray, off: np.ndarray):
     )
 
 
-def _pair_ball(cen: np.ndarray, off: np.ndarray):
-    """``(f, y)`` of the smallest ball enclosing two balls, in closed form:
-    the larger ball when it holds the other, else the ball touching both
-    along the line of their centers."""
-    diff = cen[1] - cen[0]
-    gap = float(np.linalg.norm(diff))
-    if gap <= abs(off[0] - off[1]) + 1e-15:
-        x = 0 if off[0] >= off[1] else 1
-        return float(off[x]), cen[x]
-    f = 0.5 * (gap + off[0] + off[1])
-    return f, cen[0] + (f - off[0]) * (diff / gap)
+def _pair_ball(c0, o0: float, c1, o1: float):
+    """``(f, y)`` of the smallest ball enclosing the balls ``B(c0, o0)`` and
+    ``B(c1, o1)``, in closed form on floats (centers as 3-lists): the larger
+    ball when it holds the other, else the ball touching both along the line
+    of their centers."""
+    gap = _dist(c1, c0)
+    if gap <= abs(o0 - o1) + 1e-15:
+        return (o0, c0) if o0 >= o1 else (o1, c1)
+    f = 0.5 * (gap + o0 + o1)
+    return f, [a + (f - o0) * ((b - a) / gap) for a, b in zip(c0, c1)]
+
+
+def _two_ball(cen: np.ndarray, off: np.ndarray):
+    """``_pair_ball`` of the two balls of a two-state ensemble, ``y`` as an
+    array."""
+    (c0, c1), (o0, o1) = cen.tolist(), off.tolist()
+    f, y = _pair_ball(c0, o0, c1, o1)
+    return f, np.array(y)
 
 
 def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
@@ -530,7 +588,7 @@ def solve_two_state(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminat
     if ens.n != 2:
         raise WrongArity(f"two-state solver got {ens.n} states")
     cen, off = _centers(ens)
-    return _assemble(ens, cen, off, *_pair_ball(cen, off), tol)
+    return _assemble(ens, cen, off, *_two_ball(cen, off), tol)
 
 
 def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
@@ -546,7 +604,7 @@ def _optimal_value(ens: Ensemble) -> float:
     negative preservation verdict reports: the same dispatch and the same
     ball, with no labels and no measurement assembled."""
     cen, off = _centers(ens)
-    f, _ = _pair_ball(cen, off) if ens.n == 2 else _enclosing_ball(cen, off)
+    f, _ = _two_ball(cen, off) if ens.n == 2 else _enclosing_ball(cen, off)
     return 2.0 * float(f)
 
 
@@ -558,13 +616,18 @@ def povm_value(ens: Ensemble, sol: DiscriminationSolution, weights=None) -> floa
     it a strong-duality certificate.  The value is one sum over the nonzero
     weights of ``q_x w_x (1 - u_x . v_x) / 2``, with ``u_x`` the unit
     complementary axis.  In the guessing-only case (all weights zero) it is
-    the prior of the first NO_MEASUREMENT state.
+    the prior of the first NO_MEASUREMENT state.  Raises WrongLength for a
+    weight vector of the wrong shape and BadParameter for a weight that is
+    not finite.
     """
     if weights is None:
         weights = sol.povm_weights
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (ens.n,):
         raise WrongLength(f"expected {ens.n} weights, got shape {weights.shape}")
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise BadParameter(f"weight {float(weights[bad[0]])!r} of state {bad[0]} is not finite")
     nz = np.flatnonzero(weights)
     if not nz.size and CaseTag.NO_MEASUREMENT in sol.case_tags:
         return float(ens.priors[sol.case_tags.index(CaseTag.NO_MEASUREMENT)])

@@ -79,19 +79,20 @@ def make_ensemble(states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     return Ensemble(priors, blochs)
 
 
-def _index_array(ens: Ensemble, index_set) -> np.ndarray:
-    """``index_set`` as an integer array, the one validation of state
-    indices: IndexOutOfRange, naming the first entry that is not an integer
-    in ``[0, n)``, before anything is indexed with it (numpy would wrap a
+def _index_array(n: int, index_set, what: str = "state index") -> np.ndarray:
+    """``index_set`` as an integer array, the one validation of indices
+    into ``n`` items (states, or the unknowns of a channel family):
+    IndexOutOfRange, naming the first entry that is not an integer in
+    ``[0, n)``, before anything is indexed with it (numpy would wrap a
     negative index and truncate a float)."""
     idx = np.asarray(index_set)
     if idx.size and idx.dtype.kind not in "biu":
         bad = next(x for x in index_set if not isinstance(x, numbers.Integral))
-        raise IndexOutOfRange(f"state index {bad!r} is not an integer")
+        raise IndexOutOfRange(f"{what} {bad!r} is not an integer")
     idx = idx.astype(np.intp, copy=False)
-    out = (idx < 0) | (idx >= ens.n)
+    out = (idx < 0) | (idx >= n)
     if out.any():
-        raise IndexOutOfRange(f"state index {int(idx[out][0])} not in [0, {ens.n})")
+        raise IndexOutOfRange(f"{what} {int(idx[out][0])} not in [0, {n})")
     return idx
 
 
@@ -102,7 +103,7 @@ def reduce_unidentified(ens: Ensemble, drop: int, tol: Tolerances = DEFAULT_TOL)
     guessing probabilities of the reduced problem rescale by ``r``.
     ``drop`` must be an integer in ``[0, n)`` (IndexOutOfRange).
     """
-    _index_array(ens, (drop,))
+    _index_array(ens.n, (drop,))
     if ens.n - 1 < 2:
         raise TooFewStates("cannot reduce a two-state ensemble further")
     keep = [x for x in range(ens.n) if x != drop]
@@ -116,7 +117,7 @@ def reduce_unidentified(ens: Ensemble, drop: int, tol: Tolerances = DEFAULT_TOL)
 def helstrom(ens: Ensemble, x: int, y: int) -> HelstromPair:
     """Pair operator ``q_x rho_x - q_y rho_y`` in Bloch form; ``x`` and ``y``
     must be integers in ``[0, n)`` (IndexOutOfRange)."""
-    _index_array(ens, (x, y))
+    _index_array(ens.n, (x, y))
     vec = ens.priors[x] * ens.blochs[x] - ens.priors[y] * ens.blochs[y]
     op = Herm2((ens.priors[x] - ens.priors[y]) / 2.0, vec / 2.0)
     return HelstromPair(x, y, op, vec)

@@ -11,6 +11,8 @@ degradation stays within the measurement's gap bound.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .channels import QubitChannel, choi_min_eigenvalues
 from .discrimination import DiscriminationSolution, povm_weights, solve
 from .ensembles import Ensemble, _index_array
 from .errors import (
+    BadParameter,
     ConsistencyError,
     DeltaUnreachable,
     MissingComplementaryState,
@@ -119,7 +122,7 @@ def build_system(
     if index_set is None:
         index_set = sol.identified
     index_set = tuple(index_set)
-    idx = _index_array(ens, index_set)
+    idx = _index_array(ens.n, index_set)
     if len(index_set) < 2:
         raise PairSetTooSmall(
             f"need at least two identified states, got {len(index_set)}"
@@ -188,10 +191,17 @@ def fix_coordinates(
     """Restrict the family to members with the given coordinates pinned.
 
     ``fixed`` maps unknown-vector positions to target values.  Raises
-    DeltaUnreachable when no member attains them.
+    IndexOutOfRange for a position that is not an integer in ``[0, 13)``,
+    BadParameter for a target that is not finite, and DeltaUnreachable
+    when no member attains them.
     """
     coords = sorted(fixed)
+    _index_array(N_UNKNOWNS, coords, "coordinate")
     targets = np.array([float(fixed[c]) for c in coords])
+    bad = np.flatnonzero(~np.isfinite(targets))
+    if bad.size:
+        c = coords[bad[0]]
+        raise BadParameter(f"target {fixed[c]!r} of coordinate {c} is not finite")
     a = fam.null_basis[coords, :]
     rhs = targets - fam.particular[coords]
     # the basis is orthonormal, so entries of ``a`` sit on a unit scale;
@@ -236,7 +246,9 @@ def sieve_admissible(
 ) -> list:
     """Random admissible members of the family.
 
-    Coefficients are drawn uniformly from ``[-box, box]^dim``; a member is
+    Coefficients are drawn uniformly from ``[-box, box]^dim``; a box that
+    is negative, not finite, or whose width ``2 box`` overflows, and a seed
+    that is not a non-negative integer, raise BadParameter.  A member is
     kept when its degradation lies in ``[0, min gap]`` up to tolerance, its
     Choi operator is positive, and check_omp's verdict on the family's own
     system confirms it, so the index set, its weights and the linear
@@ -257,6 +269,10 @@ def sieve_admissible(
     """
     from .omp_check import _verdict
 
+    if not (0.0 <= box and math.isfinite(2.0 * box)):
+        raise BadParameter(f"box must be a finite number >= 0 whose double is finite, got {box!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise BadParameter(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     sys = fam.system
     min_gap = float(np.min(sys.solution.gaps[list(sys.index_set)]))

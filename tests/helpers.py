@@ -215,8 +215,9 @@ def lstsq_certify_subset(idx, cen, off):
     Active equalities pin ``y`` to an affine function of the common value;
     the remaining quadratic closes the system.  A root is accepted only if
     every equality holds to 1e-9, the convex multipliers exist with no
-    component below -1e-9, and no other state of ``cen, off`` exceeds the
-    value by more than 1e-10.  Returns ``(f, y)`` for the smallest such root.
+    component below -1e-9 (unless the root is centered on a subset ball),
+    and no other state of ``cen, off`` exceeds the value by more than
+    1e-10.  Returns ``(f, y)`` for the smallest such root.
     """
     sub_c = cen[list(idx)]
     sub_o = off[list(idx)]
@@ -256,11 +257,12 @@ def lstsq_certify_subset(idx, cen, off):
         dist = np.linalg.norm(d, axis=1)
         if np.max(np.abs(sub_o + dist - f)) > _EQ_RES:
             continue
-        if np.min(dist) < 1e-15:
-            continue
-        mu, res = _kkt_multipliers(d / dist[:, None])
-        if res > _EQ_RES or np.min(mu) < -_MU_TOL:
-            continue
+        # a root centered on a subset ball is that ball alone, which needs
+        # no multipliers: it is optimal exactly when it holds every ball
+        if np.min(dist) >= 1e-15:
+            mu, res = _kkt_multipliers(d / dist[:, None])
+            if res > _EQ_RES or np.min(mu) < -_MU_TOL:
+                continue
         if np.max(off + np.linalg.norm(cen - y, axis=1)) > f + _FEAS_SLACK:
             continue
         best = (float(f), y)

@@ -253,13 +253,6 @@ def test_family_flags_do_not_leak_between_calls(tmp_path, capsys):
     assert rep["slice"] == "full"
 
 
-def test_family_negative_samples_keeps_nothing(tmp_path, capsys):
-    code, rep = run_json(capsys, ["family", ensemble_file(tmp_path, "bb84"), "--samples", "-3"])
-    assert code == 0
-    assert rep["kept"] == 0
-    assert rep["samples"] == []
-
-
 def test_examples_pass_and_corrupt(tmp_path, capsys, monkeypatch):
     code = main(["examples", "--no-timestamp"])
     out = capsys.readouterr().out
@@ -326,20 +319,32 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["solve", "--measurement", "0,x"], "expected comma-separated integers, got '0,x'"),
         (["solve", "--measurement", ","], "argument --measurement: index list is empty"),
         (["family", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+        (["family", "--box", "-1"], "argument --box: expected a number >= 0, got '-1'"),
+        (["family", "--samples", "-3"], "argument --samples: expected a non-negative integer"),
+        (["family", "--samples", "many"], "argument --samples: expected a non-negative integer"),
     ],
     ids=["tol-zero", "psd-tol-negative", "tol-nan", "rank-tol-inf", "tol-word", "box-nan",
-         "box-inf", "fixed-delta-nan", "measurement-word", "measurement-empty", "seed-negative"],
+         "box-inf", "fixed-delta-nan", "measurement-word", "measurement-empty", "seed-negative",
+         "box-negative", "samples-negative", "samples-word"],
 )
 def test_malformed_flag_values_exit_2(tmp_path, capsys, argv, message):
     # a bad tolerance once escaped main as a ValueError traceback (exit 1 from
     # the console script), a nan or inf box as an OverflowError, a negative
-    # seed as a ValueError of the random generator, and a nan degradation
-    # reached the JSON report
+    # box or seed as a ValueError of the random generator, and a nan
+    # degradation reached the JSON report; a negative sample count exited 0
+    # with "kept 0 of -3"
     argv = [argv[0], ensemble_file(tmp_path, "bb84")] + argv[1:]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_overflowing_box_exits_3(tmp_path, capsys):
+    # a finite box whose width [-box, box] overflows is the library's
+    # BadParameter, no longer an OverflowError traceback
+    assert main(["family", ensemble_file(tmp_path, "bb84"), "--box", "1e308"]) == 3
+    assert "invariant violation: box must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

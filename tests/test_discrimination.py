@@ -28,6 +28,7 @@ from ompkit.discrimination import (
 )
 from ompkit.ensembles import helstrom, make_ensemble
 from ompkit.errors import (
+    BadParameter,
     ConvergenceFailure,
     IndexOutOfRange,
     InfeasibleCompleteness,
@@ -222,6 +223,17 @@ def test_povm_value_rejects_bad_weight_vector():
     sol = solve(ens)
     with pytest.raises(WrongLength):
         povm_value(ens, sol, weights=np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_povm_value_rejects_non_finite_weight(bad):
+    # a nan weight once gave a nan value
+    ens = bundled_ensemble("bb84")
+    sol = solve(ens)
+    weights = sol.povm_weights.copy()
+    weights[2] = bad
+    with pytest.raises(BadParameter, match=rf"weight {bad!r} of state 2 is not finite"):
+        povm_value(ens, sol, weights=weights)
 
 
 def test_symmetry_op_is_positive():
@@ -542,17 +554,35 @@ def _tiny_prior_ensemble():
 _TINY_PRIOR = _tiny_prior_ensemble()
 
 
+def _inside_tangent_ensemble():
+    """Priors (0.5, 0.25, 0.25): state 0 is maximally mixed, states 1 and 2
+    are pure along (4, 3, -4)/sqrt 41 and (-2, 3, 2)/sqrt 17.  The ball of
+    state 0 holds the other two, which touch it from inside, so on (0, 1, 2)
+    the root of the equal-value system is centered on ball 0."""
+    s1 = np.array([4.0, 3.0, -4.0]) / np.sqrt(41.0)
+    s2 = np.array([-2.0, 3.0, 2.0]) / np.sqrt(17.0)
+    return make_ensemble([(0.5, (0, 0, 0)), (0.25, s1), (0.25, s2)])
+
+
+# nested, internally tangent balls on one axis: a singular Gram matrix, and
+# the only ball of the subset is ball 0 itself
+_NESTED = make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))])
+
+
 @settings(max_examples=300, deadline=None)
 @given(subsets_of_degenerate_ensembles())
 @example((_TINY_PRIOR, (0, 2)))
-# nested, internally tangent balls on one axis: a singular Gram matrix, and
-# the only ball of the subset is ball 0 itself
-@example((make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))]), (0, 1, 2)))
+@example((_NESTED, (0, 1, 2)))
 @example((_regular_gon(13), (0, 4, 9)))
+# a full-rank 3 x 3 Gram matrix, inverted by its adjugate
+@example((bundled_ensemble("sic"), (0, 1, 2, 3)))
+# coplanar centers: a singular 3 x 3 Gram matrix, left to pinv
+@example((bundled_ensemble("bb84"), (0, 1, 2, 3)))
+@example((_inside_tangent_ensemble(), (0, 1, 2)))
 def test_certify_subset_matches_lstsq_multipliers(case):
     ens, idx = case
     cen, off = _centers(ens)
-    got = _certify_subset(idx, cen, off)
+    got = _certify_subset(idx, cen.tolist(), off.tolist())
     if len(idx) == 2:
         # a pair's ball is exact: the 50-digit oracle's value to 1e-15 of
         # it, and its decision wherever no ball lies within 1e-12 of the
@@ -569,12 +599,39 @@ def test_certify_subset_matches_lstsq_multipliers(case):
             assert got is not None
         return
     # the multipliers read off the Gram solve decide as the former
-    # least-squares ones did, and the ball is the same bit for bit
+    # least-squares ones did, and the ball is the same to roundoff (the
+    # oracle inverts the Gram matrix by pinv, the solver by its adjugate)
     want = lstsq_certify_subset(idx, cen, off)
     assert (got is None) == (want is None)
     if got is not None:
-        assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
+        assert abs(got[0] - want[0]) <= 1e-13 * want[0]
+        assert np.max(np.abs(np.array(got[1]) - want[1])) <= 1e-13
+
+
+def test_full_rank_bases_run_no_svd(monkeypatch):
+    # a Gram matrix of full rank is inverted by its adjugate; only a
+    # rank-deficient one reaches the SVD of pinv
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("pinv", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for ens in (bundled_ensemble("sic"), bundled_ensemble("unequal3"), _regular_gon(13)):
+        _enclosing_ball(*_centers(ens))
+        assert calls == []
+    for ens, idx in ((_NESTED, (0, 1, 2)), (bundled_ensemble("bb84"), (0, 1, 2, 3))):
+        calls.clear()
+        cen, off = _centers(ens)
+        _certify_subset(idx, cen.tolist(), off.tolist())
+        assert calls
 
 
 def _pair_basis_cases():

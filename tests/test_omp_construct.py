@@ -1,6 +1,7 @@
 """The linear family of measurement-preserving channels and its sieve."""
 
 import dataclasses
+import re
 import tracemalloc
 import types
 
@@ -13,6 +14,7 @@ from ompkit.channels import CptpVerdict, QubitChannel, is_cptp_choi, unitary_cha
 from ompkit.discrimination import solve
 from ompkit.ensembles import make_ensemble
 from ompkit.errors import (
+    BadParameter,
     ConsistencyError,
     DeltaUnreachable,
     IndexOutOfRange,
@@ -248,6 +250,28 @@ def test_fix_coordinates_general():
         fix_coordinates(fam, {0: 0.5, 12: 0.05})
 
 
+@pytest.mark.parametrize(
+    "fixed, error, message",
+    [
+        # -1 once wrapped to the degradation and pinned it silently
+        ({-1: 0.05}, IndexOutOfRange, "coordinate -1 not in [0, 13)"),
+        ({13: 0.05}, IndexOutOfRange, "coordinate 13 not in [0, 13)"),
+        ({2.5: 0.05}, IndexOutOfRange, "coordinate 2.5 is not an integer"),
+        # a nan target once gave a nan particular, and the sieve kept nothing
+        ({DELTA_COORD: float("nan")}, BadParameter, "target nan of coordinate 12"),
+        ({0: 0.8, 9: float("inf")}, BadParameter, "target inf of coordinate 9"),
+    ],
+    ids=["negative", "past-end", "non-integer", "nan-target", "inf-target"],
+)
+def test_fix_coordinates_rejects_bad_input(fixed, error, message):
+    fam = family_for(bundled_ensemble("bb84"))
+    with pytest.raises(error, match=re.escape(message)):
+        fix_coordinates(fam, fixed)
+    if list(fixed) == [DELTA_COORD]:
+        with pytest.raises(error, match=re.escape(message)):
+            delta_slice(fam, fixed[DELTA_COORD])
+
+
 def test_build_system_guards():
     ens = bundled_ensemble("bb84")
     with pytest.raises(PairSetTooSmall):
@@ -405,6 +429,26 @@ def test_sieve_without_draws_is_empty(count, dim):
     if dim == 0:
         fam = dataclasses.replace(fam, null_basis=np.zeros((N_UNKNOWNS, 0)), dim=0)
     assert sieve_admissible(fam, count=count) == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"box": float("nan")}, "got nan"),
+        ({"box": float("inf")}, "got inf"),
+        ({"box": -1.0}, "got -1.0"),
+        # finite, but the width of [-box, box] overflows
+        ({"box": 1e308}, "got 1e+308"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ],
+    ids=["box-nan", "box-inf", "box-negative", "box-overflow", "seed-negative", "seed-float"],
+)
+def test_sieve_rejects_bad_box_and_seed(kwargs, message):
+    # each once escaped as a numpy ValueError or OverflowError
+    fam = family_for(bundled_ensemble("bb84"))
+    with pytest.raises(BadParameter, match=re.escape(message)):
+        sieve_admissible(fam, count=5, **kwargs)
 
 
 def test_sieve_matches_per_draw_oracle():
