@@ -4,18 +4,19 @@ The dual of the discrimination problem asks for the Hermitian operator of
 least trace dominating every weighted state.  In Bloch coordinates that is a
 weighted smallest-enclosing-ball problem for the points ``q_x v_x / 2`` with
 additive offsets ``q_x / 2``; its optimal value is half the guessing
-probability.  ``solve_general`` solves it by basis improvement: each pivot
-finds the farthest violator in one numpy pass over all states, then
-certifies the at most five balls of its pool as Python floats, where numpy
-would spend more on each call than on the arithmetic.  A basis of one or
-two states is certified by its exact smallest ball, in closed form, and no
-state beyond it by 1e-10.  A basis of three or four states is certified
-through the first-order conditions, solved with the adjugate of its 2 x 2
-or 3 x 3 Gram matrix (an SVD pseudo-inverse only where that matrix is
-rank-deficient), to three absolute thresholds (equalities to 1e-9, convex
-multipliers above -1e-9 of their sum, no state beyond the ball by 1e-10),
-not to machine precision: near internally tangent balls such a value can
-be off by about 1e-10 (ROADMAP item 2).
+probability.  ``solve`` solves it by basis improvement for every number
+of states: each pivot finds the farthest violator in one numpy pass over
+all states, then certifies the at most five balls of its pool as Python
+floats, where numpy would spend more on each call than on the arithmetic.
+A basis of one or two states is its exact smallest ball, in closed form,
+and the pivoting stops once no other state exceeds the ball by 1e-15.  A
+basis of three or four states is certified through the first-order
+conditions, solved with the adjugate of its 2 x 2 or 3 x 3 Gram matrix (an
+SVD pseudo-inverse only where that matrix is rank-deficient), to three
+absolute thresholds (equalities to 1e-9, convex multipliers above -1e-9 of
+their sum, no state beyond the ball by 1e-10), not to machine precision:
+near internally tangent or nearly coincident balls such a value can be off
+by about 1e-10 (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -40,10 +41,16 @@ from .errors import (
 
 # Certification thresholds of a basis.  They gate acceptance of a candidate
 # optimum, not the quality of the answer itself, which is set by the linear
-# algebra; _FEAS_SLACK is also the exit test of the pivoting.
+# algebra.
 _EQ_RES = 1e-9
 _MU_TOL = 1e-9
 _FEAS_SLACK = 1e-10
+
+# Roundoff floors: of the ball geometry (nesting of a pair, a root centered
+# on a ball, the exit test of the pivoting), and of a discriminant, as a
+# share of qb^2 + |4 qa qc|.
+_ROUNDOFF = 1e-15
+_DOUBLE_ROOT = 1e-14
 
 # Roundoff floor of the completeness-weight pivots: a weight at or below it
 # counts as zero, a residual below it as exact, and a multiplier rate or
@@ -161,8 +168,10 @@ def _certify_subset(idx, cen, off):
     does not cancel for close centers; the remaining quadratic closes the
     system.  The barycentric coordinates ``(1 - sum xi, xi)`` of ``y``,
     scaled by the distances ``|y - c_i|``, are the KKT multipliers, so that
-    one solve also certifies.  A root is accepted only if every equality
-    holds to 1e-9 and no multiplier is below -1e-9 of their sum.  Either way
+    one solve also certifies.  A discriminant within roundoff of 0 may have
+    split a double root, which is then a candidate too.  A root is accepted
+    only if every equality holds to 1e-9 and no multiplier is below -1e-9
+    of their sum (none needed where it is centered on a ball).  Either way
     the ball must hold every ball of ``cen, off`` to 1e-10: a subset's
     optimum that holds every ball is the optimum of all of them.  Returns
     ``(f, y)``, for the smallest accepted root, with ``y`` a float list.
@@ -189,10 +198,14 @@ def _certify_subset(idx, cen, off):
         roots = [] if abs(qb) < 1e-14 else [-qc / qb]
     else:
         disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
+        floor = _DOUBLE_ROOT * (qb * qb + abs(4.0 * qa * qc))
+        if disc < -floor:
             return None
-        sq = math.sqrt(disc)
+        sq = math.sqrt(max(disc, 0.0))
         roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
+        if disc <= floor:
+            # roundoff may have split a double root
+            roots.append(-qb / (2.0 * qa))
     sub_o = [off[i] for i in idx]
     for f in sorted(roots):
         if f < max(sub_o) - 1e-12:
@@ -201,10 +214,11 @@ def _certify_subset(idx, cen, off):
         dist = [_dist(y, cen[i]) for i in idx]
         if max([abs(o + d - f) for o, d in zip(sub_o, dist)]) > _EQ_RES:
             continue
-        # y = sum lam_i c_i with sum lam_i = 1, so sum lam_i (y - c_i) = 0
+        # y = sum lam_i c_i with sum lam_i = 1, so sum lam_i (y - c_i) = 0;
+        # a root centered on a ball is that ball alone
         xi = [b + f * v for b, v in zip(xi_b, xi_a)]
         mu = list(map(mul, [1.0 - sum(xi)] + xi, dist))
-        if min(mu) < -_MU_TOL * sum(mu):
+        if min(dist) >= _ROUNDOFF and min(mu) < -_MU_TOL * sum(mu):
             continue
         if _holds(f, y, cen, off):
             return f, y
@@ -430,10 +444,14 @@ def _unit_rows(s: np.ndarray) -> np.ndarray:
     return s / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
-def _assemble(ens: Ensemble, cen, off, f: float, y: np.ndarray, tol: Tolerances):
-    """The solution at the dual optimum ``Herm2(f, y)``.
+def _assemble(ens: Ensemble, cen, off, f: float, y: np.ndarray, basis, tol: Tolerances):
+    """The solution at the dual optimum ``Herm2(f, y)`` of basis ``basis``.
 
-    ``cen, off`` are the solver's ``_centers(ens)``.  All states are
+    ``cen, off`` are the solver's ``_centers(ens)``.  A state's
+    complementary state is its displacement ``y - c_x``; a pair basis
+    whose balls touch the ball from outside each other takes both along
+    its line of centers, as a difference of close points costs the
+    dominant state of a tiny-prior pair 1e-8 of its axis.  All states are
     labelled at once: a gap at or below ``psd_tol`` is NO_MEASUREMENT with a
     zero complementary state, otherwise the state is PROJECTIVE_ELEMENT when
     the smallest eigenvalue of its gap operator is at or below ``psd_tol``
@@ -444,11 +462,20 @@ def _assemble(ens: Ensemble, cen, off, f: float, y: np.ndarray, tol: Tolerances)
     """
     p_guess = 2.0 * float(f)
     gaps = p_guess - ens.priors
+    disp = y - cen
+    if len(basis) == 2:
+        a, b = basis
+        oa, ob = float(off[a]), float(off[b])
+        if f > max(oa, ob):
+            ca, cb = cen[a].tolist(), cen[b].tolist()
+            gap = _dist(cb, ca)
+            disp[a] = [(f - oa) * ((q - p) / gap) for p, q in zip(ca, cb)]
+            disp[b] = [(f - ob) * ((p - q) / gap) for p, q in zip(ca, cb)]
     # lo[x] is the smallest eigenvalue of the dual gap operator of state x
-    lo = (f - off) - np.linalg.norm(cen - y, axis=1)
+    lo = (f - off) - np.linalg.norm(disp, axis=1)
     blind = gaps <= tol.psd_tol
     safe = np.where(blind, 1.0, gaps)
-    comp = np.where(blind[:, None], 0.0, 2.0 * (y - cen) / safe[:, None])
+    comp = np.where(blind[:, None], 0.0, 2.0 * disp / safe[:, None])
     code = np.where(blind, 2, (lo > tol.psd_tol) | blind.any())
     sol = DiscriminationSolution(
         p_guess=p_guess,
@@ -514,17 +541,21 @@ def povm_weights(
 
 
 def _enclosing_ball(cen: np.ndarray, off: np.ndarray):
-    """``(f, y)`` of the smallest ball enclosing the balls ``B(cen_x, off_x)``.
+    """``(f, y, basis)`` of the smallest ball enclosing the balls
+    ``B(cen_x, off_x)``, certified by the balls of ``basis``.
 
     Basis improvement for an LP-type problem with bases of at most four
     balls.  The loop begins at the ball of the largest prior, the only
     one-ball basis it needs: each pivot takes the state farthest outside the
     current ball and computes the new basis, of two to four balls, from
     scratch (``_pivot``), as move-to-front is not safe for balls (Fischer &
-    Gartner, IJCGA 14, 2004).  The radius rises strictly, so the loop is
-    finite; it ends once no state exceeds the ball by 1e-10.  Raises
-    ConvergenceFailure, stating the pivots made and the largest violation,
-    when a pivot certifies no ball or ``8 n + 32`` pivots do not settle:
+    Gartner, IJCGA 14, 2004).  The violator search leaves out the basis,
+    whose balls exceed their ball by roundoff or the Gram path's root error.
+    The loop ends once no other state exceeds the ball by 1e-15, or, within
+    1e-10 where the Gram roots are no more accurate, once a pivot certifies
+    no larger ball (such pivots would cycle).  Raises ConvergenceFailure,
+    stating the pivots made and the largest violation, when a pivot beyond
+    that band certifies no ball or ``8 n + 32`` pivots do not settle:
     degeneracy beyond the built-in tolerances.
     """
     basis = [int(np.argmax(off))]
@@ -532,11 +563,16 @@ def _enclosing_ball(cen: np.ndarray, off: np.ndarray):
     limit = 8 * len(off) + 32
     for pivots in range(limit + 1):
         vals = off + np.linalg.norm(cen - y, axis=1)
+        for i in basis:
+            vals[i] = -np.inf
         j = int(np.argmax(vals))
-        if vals[j] <= f + _FEAS_SLACK:
-            return f, y
+        if vals[j] <= f + _ROUNDOFF:
+            return f, y, basis
         hit = None if pivots == limit else _pivot(basis, j, cen, off)
-        if hit is None:
+        near = vals[j] <= f + _FEAS_SLACK
+        if hit is None or (near and hit[1] <= f):
+            if near:
+                return f, y, basis
             break
         basis, f, y = hit
     raise ConvergenceFailure(
@@ -551,18 +587,10 @@ def _pair_ball(c0, o0: float, c1, o1: float):
     ball when it holds the other, else the ball touching both along the line
     of their centers."""
     gap = _dist(c1, c0)
-    if gap <= abs(o0 - o1) + 1e-15:
+    if gap <= abs(o0 - o1) + _ROUNDOFF:
         return (o0, c0) if o0 >= o1 else (o1, c1)
     f = 0.5 * (gap + o0 + o1)
     return f, [a + (f - o0) * ((b - a) / gap) for a, b in zip(c0, c1)]
-
-
-def _two_ball(cen: np.ndarray, off: np.ndarray):
-    """``_pair_ball`` of the two balls of a two-state ensemble, ``y`` as an
-    array."""
-    (c0, c1), (o0, o1) = cen.tolist(), off.tolist()
-    f, y = _pair_ball(c0, o0, c1, o1)
-    return f, np.array(y)
 
 
 def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
@@ -571,40 +599,38 @@ def solve_general(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Discriminatio
     The dual optimum is the smallest ball enclosing the balls ``B(q_x v_x /
     2, q_x / 2)``, found by the basis improvement of ``_enclosing_ball``
     from the ball of the largest prior; ``_assemble`` labels the states and
-    completes the measurement.  Raises ConvergenceFailure when the pivots do
-    not settle.
+    completes the measurement; a two-state ensemble's basis is a pair,
+    whose ball is closed-form.  Raises ConvergenceFailure when the pivots
+    do not settle.
     """
     cen, off = _centers(ens)
     return _assemble(ens, cen, off, *_enclosing_ball(cen, off), tol)
 
 
 def solve_two_state(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
-    """Closed-form two-state solution (the trace-norm formula).
+    """``solve_general`` of a two-state ensemble (the trace-norm formula).
 
     When the weighted Bloch difference is shorter than the prior difference
     the best strategy is to always guess the likelier state; it gets tagged
-    NO_MEASUREMENT and the other one NEVER_IDENTIFIED.
+    NO_MEASUREMENT and the other one NEVER_IDENTIFIED.  Raises WrongArity
+    for any other number of states.
     """
     if ens.n != 2:
         raise WrongArity(f"two-state solver got {ens.n} states")
-    cen, off = _centers(ens)
-    return _assemble(ens, cen, off, *_two_ball(cen, off), tol)
+    return solve_general(ens, tol)
 
 
 def solve(ens: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DiscriminationSolution:
-    """Dispatch on arity: exact closed form for pairs, basis improvement
-    above."""
-    if ens.n == 2:
-        return solve_two_state(ens, tol)
+    """Exact optimal discrimination of any qubit ensemble: ``solve_general``,
+    one route for every number of states."""
     return solve_general(ens, tol)
 
 
 def _optimal_value(ens: Ensemble) -> float:
     """The guessing probability ``solve(ens).p_guess`` alone, which a
-    negative preservation verdict reports: the same dispatch and the same
-    ball, with no labels and no measurement assembled."""
-    cen, off = _centers(ens)
-    f, _ = _two_ball(cen, off) if ens.n == 2 else _enclosing_ball(cen, off)
+    negative preservation verdict reports: the same ball, with no labels and
+    no measurement assembled."""
+    f, _, _ = _enclosing_ball(*_centers(ens))
     return 2.0 * float(f)
 
 

@@ -22,6 +22,7 @@ The re-solve of a transformed ensemble is confirmed by the public ``solve``.
 """
 
 import itertools
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -29,6 +30,7 @@ import numpy as np
 from ompkit import Ensemble, QubitChannel, make_ensemble
 from ompkit.bloch import DEFAULT_TOL, Tolerances, _rank
 from ompkit.discrimination import (
+    _DOUBLE_ROOT,
     _EQ_RES,
     _FEAS_SLACK,
     _MU_TOL,
@@ -244,10 +246,14 @@ def lstsq_certify_subset(idx, cen, off):
         roots = [] if abs(qb) < 1e-14 else [-qc / qb]
     else:
         disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
+        # a discriminant within roundoff of 0 may be a double root
+        floor = _DOUBLE_ROOT * (qb * qb + abs(4.0 * qa * qc))
+        if disc < -floor:
             return None
-        sq = np.sqrt(disc)
+        sq = np.sqrt(max(disc, 0.0))
         roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
+        if disc <= floor:
+            roots.append(-qb / (2.0 * qa))
     best = None
     for f in sorted(roots):
         if f < np.max(sub_o) - 1e-12:
@@ -302,9 +308,9 @@ def enumerated_enclosing_ball(ens: Ensemble):
     Tries every subset of up to four states, the most a basis of a ball in
     three dimensions holds, smallest size first, certifying each against all
     states (a pair by ``decimal_pair_ball``, any other subset by
-    ``lstsq_certify_subset``), and returns ``(f, y)`` of the smallest
-    certified ball of the first size that has one.  The cost grows as n^4,
-    so keep ``ens.n`` small.
+    ``lstsq_certify_subset``), and returns ``(f, y, idx)`` of the smallest
+    certified ball of the first size that has one, ``idx`` its subset.  The
+    cost grows as n^4, so keep ``ens.n`` small.
     """
     cen, off = _centers(ens)
     for size in range(1, min(4, ens.n) + 1):
@@ -313,7 +319,7 @@ def enumerated_enclosing_ball(ens: Ensemble):
         for idx in itertools.combinations(range(ens.n), size):
             hit = certify(idx, cen, off)
             if hit is not None:
-                found.append(hit)
+                found.append((*hit, list(idx)))
         if found:
             return min(found, key=lambda t: t[0])
     raise ConvergenceFailure("no active subset certified")
@@ -461,26 +467,39 @@ def per_draw_sieve(fam, count: int, seed: int, box: float, tol: Tolerances = DEF
     return kept
 
 
-def loop_assemble(ens: Ensemble, f: float, y: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Test oracle for the labelling at the dual optimum ``Herm2(f, y)``.
+def _displacement(x: int, cen, off, f: float, y, basis) -> np.ndarray:
+    """``y - c_x``, or for a member of a two-ball basis whose ball is
+    neither of its balls, ``f - o_x`` times the unit vector from ``c_x``
+    to the other member's center."""
+    if len(basis) == 2 and x in basis and f > max(off[basis[0]], off[basis[1]]):
+        d = cen[basis[0] + basis[1] - x] - cen[x]
+        gap = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        return (f - off[x]) * (d / gap)
+    return y - cen[x]
+
+
+def loop_assemble(ens: Ensemble, f: float, y: np.ndarray, basis, tol: Tolerances = DEFAULT_TOL):
+    """Test oracle for the labelling at the dual optimum ``Herm2(f, y)``
+    certified by the states ``basis``.
 
     Labels one state at a time and returns ``(gaps, comp_states, case_tags,
     identified)`` as the solver's assembly defines them.
     """
     cen, off = _centers(ens)
     gaps = 2.0 * float(f) - ens.priors
-    lo = (f - off) - np.linalg.norm(cen - y, axis=1)
     # where blind guessing is optimal no measurement identifies a state,
     # not even one tangent to the guessing ball
     guessing = any(gaps[x] <= tol.psd_tol for x in range(ens.n))
     comp = np.zeros((ens.n, 3))
     tags = []
     for x in range(ens.n):
+        disp = _displacement(x, cen, off, f, y, basis)
+        lo = (f - off[x]) - np.linalg.norm(disp)
         if gaps[x] <= tol.psd_tol:
             tags.append(CaseTag.NO_MEASUREMENT)
             continue
-        comp[x] = 2.0 * (y - cen[x]) / gaps[x]
-        if lo[x] <= tol.psd_tol and not guessing:
+        comp[x] = 2.0 * disp / gaps[x]
+        if lo <= tol.psd_tol and not guessing:
             tags.append(CaseTag.PROJECTIVE_ELEMENT)
         else:
             tags.append(CaseTag.NEVER_IDENTIFIED)

@@ -20,10 +20,10 @@ from ompkit.discrimination import (
     _certify_subset,
     _enclosing_ball,
     _min_norm_weights,
+    _pair_ball,
     povm_value,
     povm_weights,
     solve,
-    solve_general,
     solve_two_state,
 )
 from ompkit.ensembles import helstrom, make_ensemble
@@ -175,12 +175,14 @@ def test_invariants_on_random_ensembles():
 
 
 def test_two_state_solvers_agree():
+    # the Helstrom formula p = (1 + |q0 rho0 - q1 rho1|_1) / 2, whose trace
+    # norm is the larger of |q0 - q1| and |q0 v0 - q1 v1|
     rng = np.random.default_rng(11)
     for _ in range(1000):
         ens = random_ensemble(rng, 2)
-        a = solve_general(ens)
-        b = solve_two_state(ens)
-        assert abs(a.p_guess - b.p_guess) <= 1e-8
+        (q0, q1), (v0, v1) = ens.priors, ens.blochs
+        want = 0.5 * (1.0 + max(abs(q0 - q1), np.linalg.norm(q0 * v0 - q1 * v1)))
+        assert abs(solve_two_state(ens).p_guess - want) <= 1e-12
 
 
 def test_oracle_never_beats_the_optimum():
@@ -303,36 +305,21 @@ _COMPLETENESS_EDGE = [
     "states",
     [
         pytest.param(
-            # the dominant state's gap sits just above psd_tol and its
-            # complementary axis comes from a cancelling difference
+            # the dominant state's gap sits just above psd_tol, and y - c
+            # of that state is a difference of close points
             [
                 (1e-8, np.array([-3.0, 2.0, -2.0]) / np.sqrt(17.0)),
                 (1.0 - 1e-8, np.array([1.0, -3.0, -4.0]) / np.sqrt(26.0)),
             ],
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=InfeasibleCompleteness,
-                reason="ROADMAP item 3: tiny-prior pair, least residual 1.113e-08 > match_tol",
-            ),
             id="two_states",
         ),
-        pytest.param(
-            # the exact ball of the basis pair (0, 1), f = 0.3333333012829177;
-            # the weights of the identified states 0 and 1 then miss
-            # match_tol
-            _COMPLETENESS_EDGE,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=InfeasibleCompleteness,
-                reason="ROADMAP item 3: tiny-prior basis pair, least residual 1.062e-08 > match_tol",
-            ),
-            id="copies",
-        ),
+        # the exact ball of the basis pair (0, 1), f = 0.3333333012829177
+        pytest.param(_COMPLETENESS_EDGE, id="copies"),
     ],
 )
 def test_tiny_prior_pair_solves(states):
-    # no completeness weights pass match_tol; a valid ensemble whose basis
-    # is a tiny-prior pair must solve all the same
+    # axes taken as y - c missed match_tol in the completeness weights by
+    # 1.1e-8; taken along the pair's line of centers they are antipodal
     ens = make_ensemble(states)
     sol = solve(ens)
     _assert_kkt(ens, sol)
@@ -518,8 +505,7 @@ def test_enclosing_ball_matches_enumeration(ens):
         return
     got = _enclosing_ball(cen, off)
     assert abs(got[0] - want[0]) <= 1e-12
-    # the labels, not the weights: at a tiny prior the completeness weights
-    # of an exact ball can miss match_tol (ROADMAP item 3)
+    # the labels, each search's ball labelled by its own basis
     assert loop_assemble(ens, *got, TOL)[3] == loop_assemble(ens, *want, TOL)[3]
 
 
@@ -564,6 +550,15 @@ def _inside_tangent_ensemble():
     return make_ensemble([(0.5, (0, 0, 0)), (0.25, s1), (0.25, s2)])
 
 
+def _double_root_ensemble(s2):
+    """Priors (0.5, 0.25, 0.25): state 0 is maximally mixed, states 1 and 2
+    are pure along z and ``s2``.  Ball 0 holds the other two, which touch it
+    from inside, so on the subset (1, 2, 0) the quadratic has a double root
+    at ball 0.  Roundoff once split it: along (0, 1, 1)/sqrt 2 the solver's
+    roots lay 1e-8 apart and failed the equalities, along y the oracle's."""
+    return make_ensemble([(0.5, (0, 0, 0)), (0.25, (0, 0, 1)), (0.25, s2)])
+
+
 # nested, internally tangent balls on one axis: a singular Gram matrix, and
 # the only ball of the subset is ball 0 itself
 _NESTED = make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))])
@@ -579,6 +574,8 @@ _NESTED = make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))])
 # coplanar centers: a singular 3 x 3 Gram matrix, left to pinv
 @example((bundled_ensemble("bb84"), (0, 1, 2, 3)))
 @example((_inside_tangent_ensemble(), (0, 1, 2)))
+@example((_double_root_ensemble(np.array([0.0, 1.0, 1.0]) / SQ2), (1, 2, 0)))
+@example((_double_root_ensemble((0, 1, 0)), (1, 2, 0)))
 def test_certify_subset_matches_lstsq_multipliers(case):
     ens, idx = case
     cen, off = _centers(ens)
@@ -673,6 +670,48 @@ def test_pair_basis_is_exact(ens, pair, identified):
     assert sol.identified == identified
 
 
+@st.composite
+def pair_ensembles(draw):
+    """Two states: random, one prior in 1e-10..1e-4, or the ball of the
+    smaller prior nested in the other's, off tangency by a few 1e-15 or a
+    few 1e-11 to 1e-9 either way."""
+    kind = draw(st.sampled_from(["random", "tiny_prior", "nested"]))
+    u, w = _units([draw(_direction), draw(_direction)])
+    r0, r1 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    if kind == "nested":
+        # ball 1 at a distance o0 - o1 + eps from the center of ball 0,
+        # along u
+        q1 = draw(st.floats(0.25, 0.5, exclude_max=True))
+        eps = draw(st.sampled_from([-1e-9, -3e-11, -3e-15, 0.0, 3e-15, 3e-11, 1e-9]))
+        v0 = r0 * w
+        v1 = ((1.0 - q1) * v0 + (1.0 - 2.0 * q1 + 2.0 * eps) * u) / q1
+        assume(np.linalg.norm(v1) <= 1.0)
+        return make_ensemble([(1.0 - q1, v0), (q1, v1)])
+    if kind == "tiny_prior":
+        q0 = 10.0 ** draw(st.floats(-10.0, -4.0))
+    else:
+        q0 = draw(st.floats(0.01, 0.99))
+    return make_ensemble([(q0, r0 * u), (1.0 - q0, r1 * w)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_ensembles())
+def test_pair_route_is_the_closed_form(ens):
+    # a two-state ensemble goes through the pivot, which stops on the exact
+    # ball of the pair, bit for bit, and its measurement attains it
+    cen, off = _centers(ens)
+    f, y, _ = _enclosing_ball(cen, off)
+    (c0, c1), (o0, o1) = cen.tolist(), off.tolist()
+    want_f, want_y = _pair_ball(c0, o0, c1, o1)
+    assert f == want_f
+    assert np.asarray(y, dtype=float).tobytes() == np.array(want_y).tobytes()
+    sol = solve(ens)
+    # where a gap within psd_tol declares guessing optimal, p_guess may
+    # exceed the value of guessing by up to that gap
+    bound = TOL.psd_tol if CaseTag.NO_MEASUREMENT in sol.case_tags else 1e-12
+    assert abs(povm_value(ens, sol) - sol.p_guess) <= bound
+
+
 @pytest.mark.parametrize(
     "states",
     [[(0.6, (0, 0, 1)), (0.4, (0, 0, 1))], NO_MEASUREMENT_COPIES],
@@ -694,8 +733,10 @@ def test_tangent_state_not_identified_when_guessing(states):
 
 
 def _assert_matches_loop(ens, sol):
+    # the basis of the ball, which gives a pair basis its axes
+    basis = _enclosing_ball(*_centers(ens))[2]
     gaps, comp, tags, identified = loop_assemble(
-        ens, sol.symmetry_op.alpha, sol.symmetry_op.beta, TOL
+        ens, sol.symmetry_op.alpha, sol.symmetry_op.beta, basis, TOL
     )
     assert sol.gaps.tobytes() == gaps.tobytes()
     assert sol.comp_states.tobytes() == comp.tobytes()
@@ -707,21 +748,13 @@ def _assert_matches_loop(ens, sol):
     assert abs(povm_value(ens, sol) - loop_povm_value(ens, sol)) <= 1e-15
 
 
-def _solve_short_of_item_3(ens):
-    """``solve(ens)``, or None on the two failures ROADMAP item 3 leaves:
-    a ConvergenceFailure (a tiny prior beside a three- or four-ball basis),
-    or the completeness edge of ``test_tiny_prior_pair_solves``, an
-    InfeasibleCompleteness of an ensemble with a prior below 1e-6 whose
-    ball certifies.  Any other InfeasibleCompleteness is raised."""
+def _solve_short_of_item_2(ens):
+    """``solve(ens)``, or None on the ConvergenceFailure that ROADMAP item 2
+    leaves: a basis of three or four balls beyond the Gram path's absolute
+    thresholds."""
     try:
         return solve(ens)
     except ConvergenceFailure:
-        return None
-    except InfeasibleCompleteness:
-        if ens.priors.min() >= 1e-6:
-            raise
-        # raises ConvergenceFailure unless the ball itself certifies
-        _enclosing_ball(*_centers(ens))
         return None
 
 
@@ -729,7 +762,7 @@ def _solve_short_of_item_3(ens):
 @given(degenerate_ensembles())
 @example(make_ensemble(_COMPLETENESS_EDGE))
 def test_assembly_matches_loop_on_degenerate_ensembles(ens):
-    sol = _solve_short_of_item_3(ens)
+    sol = _solve_short_of_item_2(ens)
     if sol is None:
         return
     _assert_matches_loop(ens, sol)
@@ -795,7 +828,7 @@ def test_negative_verdict_reports_the_solve_optimum(ens, kind, seed):
     # a negative verdict re-solves the ensemble it maps; where the public
     # solve of that same ensemble succeeds, p_guess_after is its optimum,
     # bit for bit
-    sol = _solve_short_of_item_3(ens)
+    sol = _solve_short_of_item_2(ens)
     if sol is None:
         return
     found = _draw_channel(ens, sol, kind, np.random.default_rng(seed))
@@ -854,7 +887,7 @@ def test_positive_verdict_brackets_the_new_optimum(ens, kind, seed):
     # measurement can do no better, and its dual value agrees to the bound
     # of the verdict (not to 1e-12: it misses its own primal value by up to
     # 6.2e-10, ROADMAP item 3)
-    sol = _solve_short_of_item_3(ens)
+    sol = _solve_short_of_item_2(ens)
     if sol is None:
         return
     found = _draw_channel(ens, sol, kind, np.random.default_rng(seed))

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ompkit import omp_check
 from ompkit.bloch import Tolerances
@@ -92,6 +94,41 @@ def test_depolarizing_fails_for_unequal_priors():
     rep = check_omp(bundled_ensemble("unequal3"), depolarizing_channel(0.2))
     assert not rep.is_omp
     assert rep.residuals.max() > 1e-3
+
+
+@st.composite
+def weighted_states(draw):
+    """Three to six states along integer directions, of Bloch norm 1, 0.8
+    or 0.5, with equal priors or priors in proportion to counts 1..9;
+    copies of one state are common."""
+    n = draw(st.integers(3, 6))
+    counts = [1] * n
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    direction = st.tuples(*[st.integers(-4, 4)] * 3).filter(any)
+    vecs = np.array(draw(st.lists(direction, min_size=n, max_size=n)), dtype=float)
+    radii = np.array(draw(st.lists(st.sampled_from([1.0, 0.8, 0.5]), min_size=n, max_size=n)))
+    blochs = vecs * (radii / np.linalg.norm(vecs, axis=1))[:, None]
+    return make_ensemble(list(zip(np.array(counts) / sum(counts), blochs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_states(), st.floats(0.01, 1.0))
+@example(bundled_ensemble("unequal3"), 0.2)
+@example(bundled_ensemble("sic"), 0.2)
+def test_depolarizing_preserves_only_equal_identified_priors(ens, eta):
+    # the paper's converse: K' = (1 - eta) K + eta q_x I / 2 + (eta r_x -
+    # delta) sigma_x must be one operator for every identified x, and three
+    # or more distinct axes of the sigma_x force delta = eta r_x, so the gaps
+    # r_x = p_guess - q_x, and with them the priors, are all equal (copies
+    # of one state share an axis, and two axes are antipodal)
+    sol = solve(ens)
+    axes = np.array([sol.comp_axis(x) for x in sol.identified])
+    far = [np.all(np.linalg.norm(axes[:i] - u, axis=1) > 1e-6) for i, u in enumerate(axes)]
+    assume(sum(far) >= 3)
+    rep = check_omp(ens, depolarizing_channel(eta), sol)
+    if rep.is_omp:
+        assert np.ptp(ens.priors[list(sol.identified)]) <= Tolerances().match_tol
 
 
 def test_depolarizing_undominated_left_out_state():
