@@ -56,11 +56,11 @@ class QubitChannel:
         m = np.array(self.matrix, dtype=float)
         t = np.array(self.shift, dtype=float)
         if m.shape != (3, 3):
-            raise ValueError(f"channel matrix must be 3x3, got {m.shape}")
+            raise BadParameter(f"channel matrix must be 3x3, got {m.shape}")
         if t.shape != (3,):
-            raise ValueError(f"channel shift must be a 3-vector, got {t.shape}")
+            raise BadParameter(f"channel shift must be a 3-vector, got {t.shape}")
         if not (np.isfinite(m).all() and np.isfinite(t).all()):
-            raise ValueError("channel entries must be finite")
+            raise BadParameter("channel entries must be finite")
         m.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "matrix", m)

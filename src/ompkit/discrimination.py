@@ -52,10 +52,12 @@ _FEAS_SLACK = 1e-10
 _ROUNDOFF = 1e-15
 _DOUBLE_ROOT = 1e-14
 
-# Roundoff floor of the completeness-weight pivots: a weight at or below it
-# counts as zero, a residual below it as exact, and a multiplier rate or
-# null-space component below it as absent.
+# Roundoff floor of the completeness weights: in the NNLS and walk pivots a
+# weight at or below it counts as zero and a residual below it as exact.
 _KKT_TOL = 1e-12
+# Relative floor on a singular value of a support a_S in the dual Newton
+# step: below it, the value's square is roundoff in a_S a_S^T.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class CaseTag(enum.Enum):
@@ -314,87 +316,72 @@ def _nnls(a: np.ndarray, rhs: np.ndarray, limit: int) -> np.ndarray:
     )
 
 
-def _least_norm(a: np.ndarray, rhs: np.ndarray, limit: int) -> np.ndarray:
-    """Goldfarb-Idnani dual active set for ``min |w|^2, a w = rhs, w >= 0``.
+def _dual_newton(a: np.ndarray, rhs: np.ndarray, limit: int) -> np.ndarray:
+    """Semismooth Newton on the dual of ``min |w|^2 / 2, a w = rhs, w >= 0``.
 
-    Each round solves the free columns' row-space system ``pinv(a_F) rhs``,
-    the least-norm point with the held weights at zero, and holds the
-    lowest-index negative weight ``p`` (Bland's rule).  The step to hold it
-    moves ``w`` along ``e_p`` projected onto the null space of the free
-    columns, while the multipliers of the weights already held fall by the
-    solve of ``e_p`` against the active normals; a held weight whose
-    multiplier would turn negative is released first.  The active normals
-    stay linearly independent, so the multipliers are unique and the dual
-    objective never falls (Goldfarb & Idnani, Math. Program. 27, 1 (1983)).
-    Returns the weights, free ones nonnegative to ``_KKT_TOL``.
+    The optimum is ``w = (a^T lam)_+`` at the minimum over R^4 of the
+    convex, piecewise quadratic ``phi(lam) = |(a^T lam)_+|^2 / 2 - rhs . lam``,
+    whose gradient is the residual ``a w - rhs`` (Mangasarian 1984;
+    Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 865 (2002)).  From
+    ``lam = (a a^T)^+ rhs``, each step solves ``a_S a_S^T`` on the support
+    ``S = {a^T lam > 0}`` and backtracks until phi falls by the Armijo rule.
+    The loop stops when a support repeats, not at a floor on the gradient,
+    which is never reached where ``a_S a_S^T`` is ill-conditioned: a full
+    step that keeps its support has landed on the minimum, and any other
+    repeat (a damped step, a zero weight flipped by roundoff) is left to the
+    caller's closing walk and residual check.  Returns ``(a^T lam)_+``.
     """
-    k = a.shape[1]
-    held = np.zeros(k, dtype=bool)
-    pivots = 0
-    while True:
-        free = np.flatnonzero(~held)
-        pinv = np.linalg.pinv(a[:, free], rcond=1e-12)
-        w = np.zeros(k)
-        w[free] = pinv @ rhs
-        mult = np.zeros(k)
-        mult[held] = np.maximum(-a[:, held].T @ (pinv.T @ w[free]), 0.0)
-        viol = np.flatnonzero(~held & (w < -_KKT_TOL))
-        if viol.size == 0:
-            return w
-        p = int(viol[0])
-        while True:
-            pivots += 1
-            if pivots > limit:
-                raise ConvergenceFailure(
-                    f"least-norm completion did not settle in {limit} pivots; "
-                    f"least weight {np.min(w):.3e}"
-                )
-            lam = pinv[int(np.searchsorted(free, p))]
-            step = np.zeros(k)
-            step[free] = -pinv @ a[:, p]
-            step[p] += 1.0
-            hold = np.flatnonzero(held)
-            fall = -a[:, hold].T @ lam
-            drop = fall > _KKT_TOL
-            t1, j = np.inf, -1
-            if drop.any():
-                ratios = mult[hold][drop] / fall[drop]
-                t1, j = float(np.min(ratios)), int(hold[drop][np.argmin(ratios)])
-            t2 = -w[p] / step[p] if step[p] > _KKT_TOL else np.inf
-            if t2 <= t1:
-                # a full step, or none possible: the active normals already
-                # pin w_p, whose negative value on a feasible system is then
-                # roundoff; the closing walk and residual check catch it
-                held[p] = True
-                break
-            w = w + t1 * step if t2 < np.inf else w
-            mult[hold] -= t1 * fall
-            held[j] = False
-            free = np.flatnonzero(~held)
-            pinv = np.linalg.pinv(a[:, free], rcond=1e-12)
+
+    def phi(lam):
+        w = np.maximum(a.T @ lam, 0.0)
+        return 0.5 * (w @ w) - rhs @ lam
+
+    def normal_solve(cols, v):
+        # (a_S a_S^T)^+ v through the SVD of a_S, to _SQRT_EPS
+        pinv = np.linalg.pinv(a[:, cols], rcond=_SQRT_EPS)
+        return pinv.T @ (pinv @ v)
+
+    lam = normal_solve(slice(None), rhs)
+    seen = set()
+    for _ in range(limit):
+        z = a.T @ lam
+        sup = z > 0.0
+        if sup.tobytes() in seen:
+            return np.maximum(z, 0.0)
+        seen.add(sup.tobytes())
+        grad = a[:, sup] @ z[sup] - rhs
+        step = -normal_solve(sup, grad)
+        t, now, slope = 1.0, phi(lam), grad @ step
+        while phi(lam + t * step) > now + 1e-4 * t * slope and t > 1e-10:
+            t *= 0.5
+        lam = lam + t * step
+    raise ConvergenceFailure(
+        f"least-norm completion did not settle in {limit} Newton steps; "
+        f"gradient norm {np.linalg.norm(grad):.3e}"
+    )
 
 
 def _min_norm_weights(axes: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Smallest nonnegative weights with ``sum w = 2`` and ``sum w s = 0``.
 
     Solves ``min |w|^2 / 2`` subject to ``A w = b``, ``w >= 0``, where
-    ``A = [1; axes^T]`` is 4 x k and ``b = (2, 0, 0, 0)``, exactly and in
-    finitely many pivots:
+    ``A = [1; axes^T]`` is 4 x k and ``b = (2, 0, 0, 0)``:
 
     1. the row-space solution ``pinv(A) b`` is the optimum whenever it is
        nonnegative, which settles symmetric ensembles in one solve;
     2. otherwise Lawson-Hanson NNLS decides feasibility: a least residual
        ``|A w - b|`` above ``match_tol`` means no measurement exists;
-    3. the Goldfarb-Idnani dual active set, on the system the NNLS point
-       solves exactly, finds the least-norm point, and a last ``_walk``
-       makes the weights the positive row-space solution on its support
-       alone, the candidate a search over every support would pick.
+    3. semismooth Newton on the 4-variable dual, ``w = (A^T lam)_+``, on
+       the system the NNLS point solves exactly, finds the support of the
+       least-norm point, and a last ``_walk`` makes the weights the positive
+       row-space solution on that support alone, the candidate a search
+       over every support would pick.
 
-    Every pivot is one 4 x m pseudo-inverse (m <= k) and each loop is
-    bounded by ``8 k + 32`` pivots, so the cost is polynomial in k.  Where
-    two identified axes are antipodal to within about 1e-6 rad the support
-    is ill-conditioned; the weights then still complete the measurement,
-    but their norm may exceed the least one.
+    Every pivot or Newton step is one 4 x m pseudo-inverse (m <= k) and
+    each loop is bounded by ``8 k + 32`` of them, so the cost is polynomial
+    in k.  Where two identified axes are antipodal to within about 1e-6 rad
+    the support is ill-conditioned; the weights then still complete the
+    measurement, but their norm may exceed the least one.
     """
     k = axes.shape[0]
     a = np.vstack([np.ones((1, k)), axes.T])
@@ -413,8 +400,8 @@ def _min_norm_weights(axes: np.ndarray, tol: Tolerances) -> np.ndarray:
     # the system the NNLS point solves exactly is consistent even where the
     # tolerance admits a residual, so the dual method never meets an
     # infeasible one
-    w = _least_norm(a, a @ w, limit)
-    w, _ = _walk(a, rhs, np.maximum(w, 0.0), w > 0.0)
+    w = _dual_newton(a, a @ w, limit)
+    w, _ = _walk(a, rhs, w, w > 0.0)
     res = float(np.linalg.norm(a @ w - rhs))
     if res > tol.match_tol:
         raise ConvergenceFailure(
@@ -505,10 +492,10 @@ def povm_weights(
     automatically optimal (summing the per-element success terms telescopes
     to the trace of the dual optimizer), so restricting the support is how
     alternative optimal measurements are selected.  Ties are broken by
-    minimum Euclidean norm, found by the finite active-set method of
-    ``_min_norm_weights`` for any number k of identified states: one 4 x k
-    pseudo-inverse when the optimum uses every state, otherwise at most
-    ``8 k + 32`` pivots of that size per loop.  The index set is validated
+    minimum Euclidean norm, found by ``_min_norm_weights`` for any number k
+    of identified states: one 4 x k pseudo-inverse when the optimum uses
+    every state, otherwise NNLS and then Newton steps on the 4-variable
+    dual, at most ``8 k + 32`` solves of that size per loop.  The index set is validated
     and its complementary axes gathered as arrays, with no loop over its
     states.  Raises IndexOutOfRange for an entry that is not an integer in
     ``[0, n)``, and InfeasibleCompleteness when the chosen support admits

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import DEFAULT_TOL, Herm2, Tolerances
-from .errors import BadPriors, BlochOutOfBall, IndexOutOfRange, TooFewStates
+from .errors import BadPriors, BlochOutOfBall, IndexOutOfRange, TooFewStates, WrongLength
 
 # Priors further off from summing to 1 than this are rejected instead of renormalized.
 _PRIOR_DRIFT = 1e-9
@@ -52,18 +52,28 @@ class HelstromPair:
 def make_ensemble(states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Validate raw ``[(q, bloch), ...]`` pairs into an :class:`Ensemble`.
 
-    Priors must be strictly positive and sum to one; a drift below 1e-9 is
-    silently renormalized, anything larger raises BadPriors.  Bloch vectors
-    may exceed unit norm only within the positivity tolerance.  NaN, which
-    compares false, fails both tests.
+    Priors must be strictly positive numbers summing to one; a drift below
+    1e-9 is silently renormalized, anything larger raises BadPriors.  Every
+    Bloch vector must have three entries (WrongLength) and may exceed unit
+    norm only within the positivity tolerance.  NaN, which compares false,
+    fails both tests.
     """
     states = list(states)
     if len(states) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(states)}")
-    priors = np.array([float(q) for q, _ in states])
-    blochs = np.array([np.asarray(v, dtype=float) for _, v in states])
-    if blochs.shape != (len(states), 3):
-        raise ValueError(f"expected (n, 3) Bloch vectors, got shape {blochs.shape}")
+    qs = [q for q, _ in states]
+    try:
+        priors = np.array([float(q) for q in qs])
+    except (TypeError, ValueError) as exc:
+        raise BadPriors(f"every prior must be a number: {exc}") from None
+    vecs = [np.asarray(v, dtype=float) for _, v in states]
+    try:
+        blochs = np.array(vecs)
+    except ValueError:  # ragged
+        blochs = None
+    if blochs is None or blochs.shape != (len(vecs), 3):
+        x = next(x for x, v in enumerate(vecs) if v.shape != (3,))
+        raise WrongLength(f"state {x} has a Bloch vector of shape {vecs[x].shape}, not (3,)")
     if not np.all(priors > 0):
         raise BadPriors("all priors must be strictly positive")
     total = priors.sum()

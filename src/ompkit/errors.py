@@ -62,7 +62,8 @@ class MissingComplementaryState(OmpkitError):
 
 
 class WrongLength(OmpkitError):
-    """A packed unknown vector must have exactly 13 entries."""
+    """A vector has the wrong number of entries: a Bloch vector not 3, a
+    weight vector not one per state, a packed unknown vector not 13."""
 
 
 class DeltaUnreachable(OmpkitError):

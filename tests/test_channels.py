@@ -68,15 +68,15 @@ def test_unitary_channel_is_rotation(angle, rnd):
 
 
 def test_channel_rejects_bad_entries():
-    with pytest.raises(ValueError, match="must be 3x3"):
+    with pytest.raises(BadParameter, match="must be 3x3"):
         QubitChannel(np.eye(2), np.zeros(3))
-    with pytest.raises(ValueError, match="must be a 3-vector"):
+    with pytest.raises(BadParameter, match="must be a 3-vector"):
         QubitChannel(np.eye(3), np.zeros(2))
     # a NaN entry once reached eigvalsh in the Choi test and failed there
     nan_d = np.eye(3)
     nan_d[1, 1] = np.nan
     for matrix, shift in ((nan_d, np.zeros(3)), (np.eye(3), [0, np.inf, 0])):
-        with pytest.raises(ValueError, match="entries must be finite"):
+        with pytest.raises(BadParameter, match="entries must be finite"):
             QubitChannel(matrix, shift)
 
 

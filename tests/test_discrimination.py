@@ -18,6 +18,7 @@ from ompkit.discrimination import (
     CaseTag,
     _centers,
     _certify_subset,
+    _dual_newton,
     _enclosing_ball,
     _min_norm_weights,
     _pair_ball,
@@ -364,7 +365,8 @@ def axis_sets(draw):
     """At most ten unit axes in the shapes that stress the weight search."""
     kind = draw(
         st.sampled_from(
-            ["random", "coplanar", "duplicated", "antipodal", "single", "hemisphere"]
+            ["random", "coplanar", "duplicated", "antipodal", "single", "hemisphere",
+             "balanced"]
         )
     )
     if kind == "single":
@@ -384,6 +386,13 @@ def axis_sets(draw):
         return _units(axes + 0.1 * normal)
     if kind == "random":
         return _units(draw(st.lists(_direction, min_size=1, max_size=10)))
+    if kind == "balanced":
+        # up to seven axes and the negations of three of them: a completion
+        # always exists, but the row-space solution is often negative, so
+        # the least-norm phase does the work
+        base = _units(draw(st.lists(_direction, min_size=1, max_size=7)))
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=3, max_size=3))
+        return np.vstack([base, -base[picks]])
     base = _units(draw(st.lists(_direction, min_size=1, max_size=5)))
     if kind == "duplicated":
         picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=10))
@@ -421,10 +430,40 @@ def test_min_norm_weights_match_enumeration(axes):
         # around it: the multipliers of a rank-2 support are not unique
         [[1, 0, 0], [-1, 2, 0], [0, 1, 0], [0, -1, -1], [-1, 1, -2], [-1, 1, 0],
          [2, -1, -1], [1, 2, 1], [2, 2, 1], [-1, 0, 0]],
-        # the walk must release a held weight: without the release it stops
-        # at (0, 0, 1, 0, 0, 0, 1, 0), 0.569 from the optimum
+        # a pivoting method must drop a weight it took on: without that it
+        # stops at (0, 0, 1, 0, 0, 0, 1, 0), 0.569 from the optimum
         [[2, 0, -4], [2, -1, 0], [-3, 0, -4], [-3, -4, -1], [2, -3, 2], [4, -1, 3],
          [3, 0, 4], [-3, 0, -3]],
+        # supports whose a_S a_S^T has a condition number near 1e11: a pair
+        # antipodal to 9e-11, and one to 7.7e-6, where a Newton loop that
+        # waits for an absolute 1e-12 gradient floor never settles
+        [[-0.6666666667, 0.3333333333, 0.6666666667],
+         [0.8728715609, -0.4364357806, 0.2182178902],
+         [-0.8728715609, 0.4364357805, -0.2182178902],
+         [0.4364357805, -0.8728715609, -0.2182178902],
+         [-0.4364357804, 0.872871561, 0.2182178903]],
+        [[0.5773502692, 0.5773502692, 0.5773502692], [-0.894427191, 0.0, 0.4472135955],
+         [0.8017837257, 0.2672612419, -0.5345224838],
+         [0.333322566, -0.6666698738, 0.6666688431],
+         [-0.3333333333, 0.6666666667, -0.6666666667],
+         [0.8944300087, 4.4772e-06, -0.44720796]],
+        # nine scattered axes on which full Newton steps revisit a support
+        # that is not optimal (the closing walk then misses the system by
+        # 1.8e-3): the Armijo backtracking is what settles it
+        [[0.198744071, -0.6888493899, 0.6971279023], [0.5169909532, -0.1194707412, -0.8476125862],
+         [0.6694748736, -0.6156718419, -0.4156339457], [0.8640453433, -0.0628360492, 0.4994770022],
+         [0.7129073148, -0.6859519405, 0.145715805], [-0.3817840966, -0.6180495427, -0.6872086046],
+         [0.32533282, 0.6015051524, 0.7296232643], [-0.4229823071, -0.6032870742, -0.6761143941],
+         [0.8158036784, 0.4932075528, 0.3020110399]],
+        # an axis and its copy an ulp off, beside an antipodal pair: two
+        # supports swap a zero weight back and forth at roundoff, so a loop
+        # that compares only consecutive supports never settles
+        [[0.0, -0.5547001962252291, -0.8320502943378437],
+         [-0.5773502691896257, -0.5773502691896257, 0.5773502691896257],
+         [0.9701425001453319, 0.0, -0.24253562503633297],
+         [0.42640143271122083, 0.6396021490668313, -0.6396021490668313],
+         [-0.5773502691896258, -0.5773502691896258, 0.5773502691896258],
+         [-0.9701425001453319, -0.0, 0.24253562503633297]],
     ],
 )
 def test_min_norm_weights_degenerate_axes(vectors):
@@ -434,6 +473,18 @@ def test_min_norm_weights_degenerate_axes(vectors):
     got = _min_norm_weights(axes, TOL)
     want = enumerated_min_norm_weights(axes, TOL)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_dual_newton_reports_its_gradient():
+    # the loop settles only when a support repeats, so one step never does,
+    # and the failure states the residual it stopped at; with room, the
+    # antipodal pair carries all the weight
+    axes = _units([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 1, 1]])
+    a = np.vstack([np.ones((1, 4)), axes.T])
+    with pytest.raises(ConvergenceFailure, match=r"1 Newton steps; gradient norm \d"):
+        _dual_newton(a, np.array([2.0, 0.0, 0.0, 0.0]), 1)
+    w = _dual_newton(a, np.array([2.0, 0.0, 0.0, 0.0]), 40)
+    assert np.max(np.abs(w - [1, 1, 0, 0])) <= 1e-15
 
 
 _KINDS = (

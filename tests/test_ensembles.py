@@ -11,6 +11,7 @@ from ompkit import (
     CaseTag,
     IndexOutOfRange,
     TooFewStates,
+    WrongLength,
     bundled_ensemble,
     helstrom,
     make_ensemble,
@@ -32,6 +33,20 @@ def test_make_ensemble_validates_priors():
     # NaN compares false, so a test for a bad prior once passed it
     with pytest.raises(BadPriors):
         make_ensemble([(float("nan"), (0, 0, 1)), (0.5, (0, 0, -1))])
+
+
+def test_make_ensemble_rejects_malformed_entries():
+    # each once escaped as a bare ValueError: 2-vectors, ragged vectors and
+    # a prior that is not a number
+    with pytest.raises(WrongLength, match=r"state 0 has a Bloch vector of shape \(2,\)"):
+        make_ensemble([(0.5, (0, 1)), (0.5, (1, 0))])
+    with pytest.raises(WrongLength, match=r"state 1 has a Bloch vector of shape \(2,\)"):
+        make_ensemble([(0.5, (0, 0, 1)), (0.5, (0, 1))])
+    with pytest.raises(WrongLength, match=r"state 0 has a Bloch vector of shape \(4,\)"):
+        make_ensemble([(0.5, (0, 0, 1, 0)), (0.5, (0, 0, -1))])
+    for prior in ("half", None):
+        with pytest.raises(BadPriors, match="every prior must be a number"):
+            make_ensemble([(prior, (0, 0, 1)), (0.5, (0, 0, -1))])
 
 
 def test_make_ensemble_renormalizes_tiny_drift():
