@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlochOutOfBall
+from .errors import BadParameter, BlochOutOfBall, WrongLength
 
 
 def _vec3(v) -> np.ndarray:
     a = np.array(v, dtype=float)
     if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+        raise WrongLength(f"expected a 3-vector, got shape {a.shape}")
     return a
 
 
@@ -39,9 +39,11 @@ class Tolerances:
     match_tol: float = 1e-8
 
     def __post_init__(self):
-        # NaN compares false, so it is refused too
-        if not all(t > 0 for t in (self.psd_tol, self.rank_tol, self.match_tol)):
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("psd_tol", "rank_tol", "match_tol"):
+            value = getattr(self, name)
+            # NaN compares false, so it is refused too
+            if not value > 0:
+                raise BadParameter(f"{name} must be strictly positive, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

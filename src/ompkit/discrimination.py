@@ -11,12 +11,12 @@ floats, where numpy would spend more on each call than on the arithmetic.
 A basis of one or two states is its exact smallest ball, in closed form,
 and the pivoting stops once no other state exceeds the ball by 1e-15.  A
 basis of three or four states is certified through the first-order
-conditions, solved with the adjugate of its 2 x 2 or 3 x 3 Gram matrix (an
-SVD pseudo-inverse only where that matrix is rank-deficient), to three
-absolute thresholds (equalities to 1e-9, convex multipliers above -1e-9 of
-their sum, no state beyond the ball by 1e-10), not to machine precision:
-near internally tangent or nearly coincident balls such a value can be off
-by about 1e-10 (ROADMAP item 2).
+conditions, solved with the adjugate of its 2 x 2 or 3 x 3 Gram matrix, to
+three absolute thresholds (equalities to 1e-9, convex multipliers above
+-1e-9 of their sum, no state beyond the ball by 1e-10), not to machine
+precision: near internally tangent or nearly coincident balls such a value
+can be off by about 1e-10 (ROADMAP item 2).  Only bases are certified, as
+the pivot reaches no other subset.
 """
 
 from __future__ import annotations
@@ -46,11 +46,9 @@ _EQ_RES = 1e-9
 _MU_TOL = 1e-9
 _FEAS_SLACK = 1e-10
 
-# Roundoff floors: of the ball geometry (nesting of a pair, a root centered
-# on a ball, the exit test of the pivoting), and of a discriminant, as a
-# share of qb^2 + |4 qa qc|.
+# Roundoff floor of the ball geometry: the nesting of a pair and the exit
+# test of the pivoting.
 _ROUNDOFF = 1e-15
-_DOUBLE_ROOT = 1e-14
 
 # Roundoff floor of the completeness weights: in the NNLS and walk pivots a
 # weight at or below it counts as zero and a residual below it as exact.
@@ -128,13 +126,11 @@ def _holds(f: float, y, cen, off) -> bool:
     return all(o + _dist(c, y) <= lim for c, o in zip(cen, off))
 
 
-def _gram_inverse(g: list) -> list:
-    """Inverse of the 2 x 2 or 3 x 3 Gram matrix ``g``.
-
-    By its adjugate where ``det g > 1e-12 (tr g)^m``, which implies
-    ``lambda_min > 1e-12 lambda_max``, so ``pinv(g, rcond=1e-12)`` would
-    truncate nothing; otherwise, for a rank-deficient ``g``, by that
-    ``pinv``.
+def _gram_inverse(g: list) -> list | None:
+    """Inverse of the 2 x 2 or 3 x 3 Gram matrix ``g`` by its adjugate,
+    where ``det g > 1e-12 (tr g)^m``, which implies ``lambda_min > 1e-12
+    lambda_max``; else None, as the centers are affinely dependent to
+    roundoff and the subset is no basis.
     """
     if len(g) == 2:
         (a, b), (_, d) = g
@@ -152,7 +148,7 @@ def _gram_inverse(g: list) -> list:
         tr = a + d + k
     if det > 1e-12 * tr ** len(g):
         return [[v / det for v in row] for row in adj]
-    return np.linalg.pinv(np.array(g), rcond=1e-12).tolist()
+    return None
 
 
 def _certify_subset(idx, cen, off):
@@ -170,13 +166,13 @@ def _certify_subset(idx, cen, off):
     does not cancel for close centers; the remaining quadratic closes the
     system.  The barycentric coordinates ``(1 - sum xi, xi)`` of ``y``,
     scaled by the distances ``|y - c_i|``, are the KKT multipliers, so that
-    one solve also certifies.  A discriminant within roundoff of 0 may have
-    split a double root, which is then a candidate too.  A root is accepted
-    only if every equality holds to 1e-9 and no multiplier is below -1e-9
-    of their sum (none needed where it is centered on a ball).  Either way
-    the ball must hold every ball of ``cen, off`` to 1e-10: a subset's
-    optimum that holds every ball is the optimum of all of them.  Returns
-    ``(f, y)``, for the smallest accepted root, with ``y`` a float list.
+    one solve also certifies.  Only a basis is certified: None where the
+    centers are affinely dependent (``_gram_inverse`` refuses ``g``) or the
+    discriminant is negative.  A root is accepted only if every equality
+    holds to 1e-9, no multiplier is below -1e-9 of their sum, and the ball
+    holds every ball of ``cen, off`` to 1e-10: a subset's optimum that
+    holds every ball is the optimum of all of them.  Returns ``(f, y)``, for
+    the smallest accepted root, with ``y`` a float list.
     """
     if len(idx) == 2:
         i, j = idx
@@ -188,6 +184,8 @@ def _certify_subset(idx, cen, off):
     g = [[_dot(u, v) for v in z] for u in z]
     h = [0.5 * (g[k][k] - d_off[k] * (off[i] + o0)) for k, i in enumerate(idx[1:])]
     g_inv = _gram_inverse(g)
+    if g_inv is None:
+        return None
     xi_a = [_dot(row, d_off) for row in g_inv]
     xi_b = [_dot(row, h) for row in g_inv]
     # y(f) = c0 + z^T (xi_b + f xi_a) = c0 + bz + f a, in the affine hull
@@ -200,14 +198,10 @@ def _certify_subset(idx, cen, off):
         roots = [] if abs(qb) < 1e-14 else [-qc / qb]
     else:
         disc = qb * qb - 4.0 * qa * qc
-        floor = _DOUBLE_ROOT * (qb * qb + abs(4.0 * qa * qc))
-        if disc < -floor:
+        if disc < 0.0:
             return None
-        sq = math.sqrt(max(disc, 0.0))
+        sq = math.sqrt(disc)
         roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
-        if disc <= floor:
-            # roundoff may have split a double root
-            roots.append(-qb / (2.0 * qa))
     sub_o = [off[i] for i in idx]
     for f in sorted(roots):
         if f < max(sub_o) - 1e-12:
@@ -216,11 +210,10 @@ def _certify_subset(idx, cen, off):
         dist = [_dist(y, cen[i]) for i in idx]
         if max([abs(o + d - f) for o, d in zip(sub_o, dist)]) > _EQ_RES:
             continue
-        # y = sum lam_i c_i with sum lam_i = 1, so sum lam_i (y - c_i) = 0;
-        # a root centered on a ball is that ball alone
+        # y = sum lam_i c_i with sum lam_i = 1, so sum lam_i (y - c_i) = 0
         xi = [b + f * v for b, v in zip(xi_b, xi_a)]
         mu = list(map(mul, [1.0 - sum(xi)] + xi, dist))
-        if min(dist) >= _ROUNDOFF and min(mu) < -_MU_TOL * sum(mu):
+        if min(mu) < -_MU_TOL * sum(mu):
             continue
         if _holds(f, y, cen, off):
             return f, y
@@ -237,7 +230,11 @@ def _pivot(basis: list, j: int, cen: np.ndarray, off: np.ndarray):
     where ball ``j`` alone would certify, the pair of ``j`` and any ball
     ``b`` of the basis does too, as ``_pair_ball`` is then ball ``j`` or,
     where ``b`` pokes out of it by less than the slack, a ball holding ball
-    ``j`` whole.  None if none certifies.
+    ``j`` whole.  So no subset that is not a basis is reached: where a
+    proper subset gives its ball (affinely dependent centers, a root
+    centered on one ball, a double root at one ball), that subset certifies
+    the new ball, so it contains ``j`` as well, and its smaller size is
+    tried first.  None if none certifies.
     """
     pool = sorted(basis + [j])
     sub_c, sub_o = cen[pool].tolist(), off[pool].tolist()

@@ -30,7 +30,6 @@ import numpy as np
 from ompkit import Ensemble, QubitChannel, make_ensemble
 from ompkit.bloch import DEFAULT_TOL, Tolerances, _rank
 from ompkit.discrimination import (
-    _DOUBLE_ROOT,
     _EQ_RES,
     _FEAS_SLACK,
     _MU_TOL,
@@ -56,6 +55,10 @@ from ompkit.omp_check import (
     check_omp,
 )
 from ompkit.omp_construct import SieveSample, unpack
+
+# The oracle's roundoff floor of a discriminant, as a share of
+# qb^2 + |4 qa qc|: within it, the quadratic's double root is a candidate.
+_DOUBLE_ROOT = 1e-14
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ompkit import (
+    BadParameter,
     BlochOutOfBall,
     Herm2,
     Tolerances,
+    WrongLength,
     eigen2,
     herm2_from_state,
     matrix_rank,
@@ -122,6 +124,13 @@ def test_nullspace_shape_and_kernel():
     assert matrix_rank(m) == 2
 
 
+def test_bloch_vector_must_have_three_entries():
+    with pytest.raises(WrongLength, match=r"shape \(2,\)"):
+        Herm2(0.5, [1, 2])
+    with pytest.raises(WrongLength):
+        herm2_from_state([0.0, 1.0])
+
+
 def test_nullspace_of_zero_matrix_is_everything():
     basis = nullspace(np.zeros((2, 4)))
     assert basis.shape == (4, 4)
@@ -129,10 +138,10 @@ def test_nullspace_of_zero_matrix_is_everything():
 
 
 def test_tolerances_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter, match=r"psd_tol .* got 0\.0"):
         Tolerances(psd_tol=0.0)
     for name in ("psd_tol", "rank_tol", "match_tol"):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter, match=rf"{name} .* got nan"):
             Tolerances(**{name: float("nan")})
     custom = Tolerances(psd_tol=1e-7, rank_tol=1e-8, match_tol=1e-6)
     assert custom.match_tol == 1e-6

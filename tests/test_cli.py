@@ -61,6 +61,14 @@ def test_solve_bb84(tmp_path, capsys):
     assert np.allclose(rep["povm_weights"], 0.5, atol=1e-9)
 
 
+def test_solve_reports_given_tolerances(tmp_path, capsys):
+    argv = ["solve", ensemble_file(tmp_path, "bb84"), "--tol", "1e-7", "--psd-tol", "1e-8"]
+    code, rep = run_json(capsys, argv + ["--rank-tol", "1e-10"])
+    assert code == 0
+    assert rep["tolerances"] == {"psd_tol": 1e-8, "rank_tol": 1e-10, "match_tol": 1e-7}
+    assert rep["p_guess"] == pytest.approx(0.5, abs=1e-10)
+
+
 def test_solve_text_output(tmp_path, capsys):
     code = main(["solve", ensemble_file(tmp_path, "bb84"), "--no-timestamp"])
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Optimal discrimination: frozen values, KKT invariants, oracle bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -615,6 +617,28 @@ def _double_root_ensemble(s2):
 _NESTED = make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))])
 
 
+def _great_circle(degrees):
+    """Equal priors on pure states in the xy-plane at angles ``degrees``."""
+    th = np.radians(degrees)
+    return make_ensemble([(1.0 / len(th), [np.cos(t), np.sin(t), 0.0]) for t in th])
+
+
+def _proper_subset_ball(idx, cen, off):
+    """The smallest ball that ``_certify_subset`` certifies on two or more,
+    but not all, of the balls ``idx``, or None."""
+    hits = [
+        _certify_subset(sub, cen, off)
+        for size in range(2, len(idx))
+        for sub in itertools.combinations(idx, size)
+    ]
+    return min((h for h in hits if h is not None), key=lambda h: h[0], default=None)
+
+
+def _assert_same_ball(got, want):
+    assert abs(got[0] - want[0]) <= 1e-13 * want[0]
+    assert np.max(np.abs(np.array(got[1]) - np.array(want[1]))) <= 1e-13
+
+
 @settings(max_examples=300, deadline=None)
 @given(subsets_of_degenerate_ensembles())
 @example((_TINY_PRIOR, (0, 2)))
@@ -622,11 +646,13 @@ _NESTED = make_ensemble([(0.5, (0, 0, 1)), (0.3, (0, 0, 1)), (0.2, (0, 0, 1))])
 @example((_regular_gon(13), (0, 4, 9)))
 # a full-rank 3 x 3 Gram matrix, inverted by its adjugate
 @example((bundled_ensemble("sic"), (0, 1, 2, 3)))
-# coplanar centers: a singular 3 x 3 Gram matrix, left to pinv
+# coplanar centers: a singular 3 x 3 Gram matrix, so no basis
 @example((bundled_ensemble("bb84"), (0, 1, 2, 3)))
 @example((_inside_tangent_ensemble(), (0, 1, 2)))
 @example((_double_root_ensemble(np.array([0.0, 1.0, 1.0]) / SQ2), (1, 2, 0)))
 @example((_double_root_ensemble((0, 1, 0)), (1, 2, 0)))
+# coplanar centers whose ball two triples of them certify
+@example((_great_circle([0, 0, -15, -45, 150]), (2, 0, 3, 4)))
 def test_certify_subset_matches_lstsq_multipliers(case):
     ens, idx = case
     cen, off = _centers(ens)
@@ -646,19 +672,31 @@ def test_certify_subset_matches_lstsq_multipliers(case):
         if ens is _TINY_PRIOR:
             assert got is not None
         return
+    want = lstsq_certify_subset(idx, cen, off)
+    sub = _proper_subset_ball(idx, cen.tolist(), off.tolist())
+    if sub is not None:
+        # no basis (affinely dependent centers, a root centered on one
+        # ball, a double root), which ``_pivot`` never reaches, as the
+        # proper subset certifies first: the solver may refuse it, and the
+        # oracle, which also certifies non-bases, gives the same ball
+        for ball in (got, want):
+            if ball is not None:
+                _assert_same_ball(ball, sub)
+        return
     # the multipliers read off the Gram solve decide as the former
     # least-squares ones did, and the ball is the same to roundoff (the
     # oracle inverts the Gram matrix by pinv, the solver by its adjugate)
-    want = lstsq_certify_subset(idx, cen, off)
     assert (got is None) == (want is None)
     if got is not None:
-        assert abs(got[0] - want[0]) <= 1e-13 * want[0]
-        assert np.max(np.abs(np.array(got[1]) - want[1])) <= 1e-13
+        _assert_same_ball(got, want)
 
 
 def test_full_rank_bases_run_no_svd(monkeypatch):
-    # a Gram matrix of full rank is inverted by its adjugate; only a
-    # rank-deficient one reaches the SVD of pinv
+    # a Gram matrix of full rank is inverted by its adjugate, and a
+    # rank-deficient one refuses its subset, which is no basis
+    singular = [(_NESTED, (0, 1, 2)), (bundled_ensemble("bb84"), (0, 1, 2, 3))]
+    # the oracle inverts by pinv, so it runs before the count
+    want = [enumerated_enclosing_ball(ens) for ens, _ in singular]
     calls = []
 
     def counted(name):
@@ -674,12 +712,35 @@ def test_full_rank_bases_run_no_svd(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     for ens in (bundled_ensemble("sic"), bundled_ensemble("unequal3"), _regular_gon(13)):
         _enclosing_ball(*_centers(ens))
-        assert calls == []
-    for ens, idx in ((_NESTED, (0, 1, 2)), (bundled_ensemble("bb84"), (0, 1, 2, 3))):
-        calls.clear()
+    for (ens, idx), ball in zip(singular, want):
         cen, off = _centers(ens)
-        _certify_subset(idx, cen.tolist(), off.tolist())
-        assert calls
+        assert _certify_subset(idx, cen.tolist(), off.tolist()) is None
+        # the pivots reach the optimum through smaller subsets
+        _assert_same_ball(_enclosing_ball(cen, off), ball)
+    assert calls == []
+
+
+# two pairs of equal-prior pure states, 0.058 and 0.0088 degrees off
+# antipodal: the optimum's basis is all four, with a Gram matrix whose
+# lambda_min / lambda_max is about 6e-8
+_THIN_BASIS = make_ensemble([
+    (0.25, [-0.47605508358522697, 0.725802466093201, 0.49657057666125415]),
+    (0.25, [0.525525433742254, 0.7808031242544514, -0.3378897744006222]),
+    (0.25, [0.47689422941026266, -0.7256272377280443, -0.49602117477216623]),
+    (0.25, [-0.5255789062620381, -0.7808282886400012, 0.3377484225750387]),
+])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceFailure,
+    reason="the adjugate root of the thin four-ball basis is ~5e-11 off and "
+    "fails the 1e-10 feasibility test (ROADMAP item 2)",
+)
+def test_two_near_antipodal_pairs_solve():
+    # the oracle certifies the four-ball ball at f = 0.24999999996039302
+    sol = solve(_THIN_BASIS)
+    assert povm_value(_THIN_BASIS, sol) == pytest.approx(sol.p_guess, abs=1e-12)
 
 
 def _pair_basis_cases():
